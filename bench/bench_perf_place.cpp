@@ -7,9 +7,11 @@
 #include <string>
 
 #include "aig/bridge.h"
+#include "apps/suites.h"
 #include "bench_json.h"
 #include "common/log.h"
 #include "core/combined_place.h"
+#include "core/flows.h"
 #include "place/placer.h"
 #include "techmap/mapper.h"
 
@@ -63,6 +65,39 @@ void combined_place_case(bench::PerfBench& harness, int num_modes, int reps) {
       });
 }
 
+/// The EdgeMatch engine at the shape the end-to-end flow hands it: the
+/// first FIR pair on the flow's region, at the inner_num of the benchmark's
+/// `edgematch_suites` workload. `pair_probes` / `pair_updates` in the perf
+/// block are its work per move.
+void edgematch_fir_case(bench::PerfBench& harness, int reps) {
+  apps::SuiteOptions suite_options;
+  suite_options.limit_pairs = 1;
+  const auto modes = apps::suite_by_name("fir", suite_options).front().modes;
+  int max_clbs = 0;
+  int max_ios = 0;
+  for (const auto& m : modes) {
+    max_clbs = std::max<int>(max_clbs, static_cast<int>(m.num_blocks()));
+    max_ios = std::max<int>(max_ios,
+                            static_cast<int>(m.num_pis() + m.num_pos()));
+  }
+  const arch::DeviceGrid grid(arch::size_device(
+      max_clbs, max_ios, core::FlowOptions{}.area_slack, 2, modes[0].k()));
+  core::CombinedPlaceOptions options;
+  options.cost = core::CombinedCost::EdgeMatch;
+  options.anneal.inner_num = 1.5;
+  options.seed = 1;
+  harness.run_case("combined_place_edgematch/fir_pair=1/inner=1.5", reps, [&] {
+    core::CombinedPlaceStats stats;
+    const auto result = core::combined_place(modes, grid, options, &stats);
+    (void)result;
+    return std::vector<bench::QorEntry>{
+        {"initial_cost", stats.initial_cost},
+        {"final_cost", stats.final_cost},
+        {"moves_attempted", static_cast<double>(stats.moves_attempted)},
+        {"moves_accepted", static_cast<double>(stats.moves_accepted)}};
+  });
+}
+
 void place_case(bench::PerfBench& harness, int gates, int reps) {
   const auto mode = random_mode(gates, 1);
   const auto netlist = place::to_place_netlist(mode);
@@ -97,6 +132,7 @@ int main() {
   // The four-mode transceiver regime: per-move cost scans scale with the
   // mode count, so this is where a naive occupancy representation hurts.
   combined_place_case(harness, 4, 2);
+  edgematch_fir_case(harness, 2);
 
   return harness.finish();
 }

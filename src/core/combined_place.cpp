@@ -43,6 +43,80 @@ class SiteKeys {
   const DeviceGrid& grid_;
 };
 
+/// Map from a connection pair key to its non-empty mode mask: open
+/// addressing with linear probing and a multiplicative hash. A zero mask
+/// marks an empty slot, and erasing shifts the rest of the cluster back, so
+/// no tombstones build up. Sized once for `max_keys` live keys at load ≤ ½;
+/// it never rehashes.
+class PairTable {
+ public:
+  void reset(std::size_t max_keys) {
+    int bits = 4;
+    while ((std::size_t{1} << bits) < 2 * max_keys) ++bits;
+    slots_.assign(std::size_t{1} << bits, Slot{});
+    shift_ = 64 - bits;
+    mask_ = slots_.size() - 1;
+  }
+
+  /// The mode mask of `key`, 0 if absent.
+  [[nodiscard]] std::uint32_t find(std::uint64_t key) const {
+    return slots_[slot_of(key)].modes;
+  }
+
+  /// ORs `bits` into the mask of `key`, inserting it if absent; returns the
+  /// mask before.
+  std::uint32_t add(std::uint64_t key, std::uint32_t bits) {
+    Slot& slot = slots_[slot_of(key)];
+    const std::uint32_t before = slot.modes;
+    slot = Slot{key, before | bits};
+    return before;
+  }
+
+  /// Clears `bits` from the mask of `key`, erasing the key once its mask is
+  /// empty; returns the mask after. Every bit must be set.
+  std::uint32_t remove(std::uint64_t key, std::uint32_t bits) {
+    const std::size_t i = slot_of(key);
+    MMFLOW_CHECK(bits != 0 && (slots_[i].modes & bits) == bits);
+    const std::uint32_t after = slots_[i].modes &= ~bits;
+    if (after == 0) erase_at(i);
+    return after;
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint32_t modes = 0;
+  };
+
+  [[nodiscard]] std::size_t home(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  /// The slot holding `key`, or the empty slot that ends its probe run.
+  [[nodiscard]] std::size_t slot_of(std::uint64_t key) const {
+    std::size_t i = home(key);
+    while (slots_[i].modes != 0 && slots_[i].key != key) i = (i + 1) & mask_;
+    return i;
+  }
+
+  /// Backward-shift deletion: every later member of the cluster whose home
+  /// does not lie cyclically in (hole, j] moves into the hole.
+  void erase_at(std::size_t hole) {
+    for (std::size_t j = (hole + 1) & mask_; slots_[j].modes != 0;
+         j = (j + 1) & mask_) {
+      if (((j - home(slots_[j].key)) & mask_) >= ((j - hole) & mask_)) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole].modes = 0;
+  }
+
+  std::vector<Slot> slots_;
+  int shift_ = 64;
+  std::size_t mask_ = 0;
+};
+
 /// Shared multi-mode placement state plus cost-engine bookkeeping.
 class CombinedSa {
  public:
@@ -126,10 +200,14 @@ class CombinedSa {
     MMFLOW_PERF_ADD("combined_place.moves_accepted", moves_accepted_);
     MMFLOW_PERF_ADD("combined_place.site_evals", site_evals_);
     MMFLOW_PERF_ADD("combined_place.timing_epochs", timing_epochs_);
+    MMFLOW_PERF_ADD("combined_place.pair_probes", pair_probes_);
+    MMFLOW_PERF_ADD("combined_place.pair_updates", pair_updates_);
     moves_proposed_ = 0;
     moves_accepted_ = 0;
     site_evals_ = 0;
     timing_epochs_ = 0;
+    pair_probes_ = 0;
+    pair_updates_ = 0;
   }
 
   /// Temperature-epoch hook: refreshes every mode's criticalities from the
@@ -216,15 +294,11 @@ class CombinedSa {
         (temperature > 0.0 && rng_.next_double() < std::exp(-delta / temperature));
     if (accept) {
       ++moves_accepted_;
-      commit_affected();
+      commit_affected(mode);
       commit_timing(mode, after - before, t_after - t_before);
       cost_ += delta;
     } else {
-      // EdgeMatch bookkeeping must be unwound at the *new* positions before
-      // the swap itself is undone.
-      rollback_before_undo();
       apply_swap(mode, b2, b1, k1, k2, s1, s2);  // swap back (reversed)
-      rollback_after_undo();
     }
     if (delta_out != nullptr) *delta_out = delta;
     return accept;
@@ -402,15 +476,26 @@ class CombinedSa {
   }
 
   // ---- EdgeMatch engine --------------------------------------------------------
+  //
+  // matches_ = Σ_pairs (|modes(pair)| − 1) over the distinct (source site,
+  // sink site) pairs of every mode's connections. A swap moves only mode m's
+  // pairs, and toggling m's bit on one pair changes the sum by exactly
+  // [pair has another mode's bit]. So the move delta is a count of lookups
+  // over the moved connections' new and old pairs against the unchanged
+  // table; the table itself is written only when the move is accepted.
 
   void build_match_table() {
-    match_table_.clear();
+    std::size_t connections = 0;
+    for (const auto& nl : netlists_) {
+      for (const auto& net : nl.nets()) connections += net.sinks.size();
+    }
+    match_table_.reset(connections);
     matches_ = 0;
     for (std::size_t m = 0; m < netlists_.size(); ++m) {
       for (const auto& net : netlists_[m].nets()) {
         const int src = block_key_[m][net.driver];
         for (const auto sink : net.sinks) {
-          add_pair(src, block_key_[m][sink], static_cast<int>(m));
+          add_pair(pair_key(src, block_key_[m][sink]), ModeSetLocal{1} << m);
         }
       }
     }
@@ -421,55 +506,77 @@ class CombinedSa {
            static_cast<std::uint32_t>(sink);
   }
 
-  void add_pair(int src, int sink, int mode) {
-    ModeSetLocal& mask = match_table_[pair_key(src, sink)];
-    MMFLOW_CHECK_MSG(!((mask >> mode) & 1), "duplicate connection pair");
-    if (mask != 0) ++matches_;
-    mask |= ModeSetLocal{1} << mode;
+  void add_pair(std::uint64_t key, ModeSetLocal bit) {
+    const ModeSetLocal before = match_table_.add(key, bit);
+    MMFLOW_CHECK_MSG((before & bit) == 0, "duplicate connection pair");
+    if (before != 0) ++matches_;
   }
 
-  void remove_pair(int src, int sink, int mode) {
-    const auto it = match_table_.find(pair_key(src, sink));
-    MMFLOW_CHECK(it != match_table_.end());
-    MMFLOW_CHECK((it->second >> mode) & 1);
-    it->second &= ~(ModeSetLocal{1} << mode);
-    if (it->second != 0) {
-      --matches_;
-    } else {
-      match_table_.erase(it);
-    }
+  void remove_pair(std::uint64_t key, ModeSetLocal bit) {
+    if (match_table_.remove(key, bit) != 0) --matches_;
   }
 
-  /// Adds/removes every connection pair of the given nets at the *current*
-  /// block positions. Whole-net granularity keeps updates symmetric even
-  /// when both swapped blocks touch the same net.
-  void update_pairs_for_nets(int mode, const std::vector<std::uint32_t>& nets,
-                             bool add) {
+  /// Collects the old and new pair of every mode-`mode` connection the swap
+  /// of b1 (at k1) and b2 (at k2) moves, without applying it. Each moved
+  /// block contributes the connections to every sink of the net it drives,
+  /// plus its one connection from the driver of each net it sinks — unless
+  /// that driver also moved, whose sweep already covers it (this is what
+  /// visits b1→b2 and self-loops exactly once).
+  void collect_moved_pairs(int mode, std::int32_t b1, std::int32_t b2, int k1,
+                           int k2) {
     const auto mi = static_cast<std::size_t>(mode);
-    for (const auto n : nets) {
-      const auto& net = netlists_[mode].nets()[n];
-      const int src = block_key_[mi][net.driver];
-      for (const auto sink : net.sinks) {
-        const int sk = block_key_[mi][sink];
-        add ? add_pair(src, sk, mode) : remove_pair(src, sk, mode);
+    const PlaceNetlist& nl = netlists_[mi];
+    const std::vector<int>& key = block_key_[mi];
+    const auto moved_key = [&](std::uint32_t b) {
+      const auto sb = static_cast<std::int32_t>(b);
+      return sb == b1 ? k2 : sb == b2 ? k1 : key[b];
+    };
+    const auto visit = [&](std::uint32_t driver, std::uint32_t sink) {
+      old_pairs_.push_back(pair_key(key[driver], key[sink]));
+      new_pairs_.push_back(pair_key(moved_key(driver), moved_key(sink)));
+    };
+    old_pairs_.clear();
+    new_pairs_.clear();
+    for (const std::int32_t b : {b1, b2}) {
+      if (b < 0) continue;
+      const auto block = static_cast<std::uint32_t>(b);
+      const std::int32_t driven = driven_net_[mi][block];
+      if (driven >= 0) {
+        const auto& net = nl.nets()[static_cast<std::uint32_t>(driven)];
+        for (const auto sink : net.sinks) visit(block, sink);
+      }
+      auto [begin, end] = nl.nets_of_block(block);
+      for (const auto* it = begin; it != end; ++it) {
+        const std::uint32_t driver = nl.nets()[*it].driver;
+        const auto sd = static_cast<std::int32_t>(driver);
+        if (sd == b1 || sd == b2) continue;
+        visit(driver, block);
       }
     }
   }
 
-  /// Deduplicated nets touching either block (either may be -1).
-  [[nodiscard]] std::vector<std::uint32_t> nets_of_blocks(int mode,
-                                                          std::int32_t b1,
-                                                          std::int32_t b2) const {
-    std::vector<std::uint32_t> nets;
-    for (const std::int32_t b : {b1, b2}) {
-      if (b < 0) continue;
-      auto [begin, end] =
-          netlists_[mode].nets_of_block(static_cast<std::uint32_t>(b));
-      nets.insert(nets.end(), begin, end);
+  /// Exact change of matches_ for the collected pairs: lookups only.
+  [[nodiscard]] std::int64_t moved_pairs_delta(int mode) {
+    const ModeSetLocal others = ~(ModeSetLocal{1} << mode);
+    std::int64_t delta = 0;
+    for (const auto k : new_pairs_) {
+      delta += (match_table_.find(k) & others) != 0 ? 1 : 0;
     }
-    std::sort(nets.begin(), nets.end());
-    nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
-    return nets;
+    for (const auto k : old_pairs_) {
+      delta -= (match_table_.find(k) & others) != 0 ? 1 : 0;
+    }
+    pair_probes_ += old_pairs_.size() + new_pairs_.size();
+    return delta;
+  }
+
+  /// Accepted move: every old pair leaves before any new one arrives, since
+  /// one connection's new pair may be another moved connection's old pair.
+  void commit_moved_pairs(int mode) {
+    const ModeSetLocal bit = ModeSetLocal{1} << mode;
+    for (const auto k : old_pairs_) remove_pair(k, bit);
+    for (const auto k : new_pairs_) add_pair(k, bit);
+    pair_updates_ += old_pairs_.size() + new_pairs_.size();
+    MMFLOW_CHECK(matches_ == pending_matches_);
   }
 
   // ---- incremental delta plumbing ------------------------------------------------
@@ -479,13 +586,9 @@ class CombinedSa {
   double affected_cost_before(int mode, std::int32_t b1, std::int32_t b2,
                               int k1, int k2) {
     if (cost_kind_ == CombinedCost::EdgeMatch) {
-      // Remove the affected nets' pairs now (positions still old); the
-      // matches_ counter absorbs the delta incrementally.
-      matches_backup_ = matches_;
-      pending_mode_ = mode;
-      pending_nets_ = nets_of_blocks(mode, b1, b2);
-      update_pairs_for_nets(mode, pending_nets_, /*add=*/false);
-      return -static_cast<double>(matches_backup_);
+      collect_moved_pairs(mode, b1, b2, k1, k2);
+      pending_matches_ = matches_ + moved_pairs_delta(mode);
+      return -static_cast<double>(matches_);
     }
 
     affected_sites_.clear();
@@ -517,8 +620,7 @@ class CombinedSa {
   /// Cost of the affected region *after* the swap has been applied.
   double affected_cost_after() {
     if (cost_kind_ == CombinedCost::EdgeMatch) {
-      update_pairs_for_nets(pending_mode_, pending_nets_, /*add=*/true);
-      return -static_cast<double>(matches_);
+      return -static_cast<double>(pending_matches_);
     }
     new_site_cost_.clear();
     double after = 0.0;
@@ -530,26 +632,15 @@ class CombinedSa {
     return after;
   }
 
-  void commit_affected() {
-    if (cost_kind_ == CombinedCost::EdgeMatch) return;  // already applied
+  void commit_affected(int mode) {
+    if (cost_kind_ == CombinedCost::EdgeMatch) {
+      commit_moved_pairs(mode);
+      return;
+    }
     for (std::size_t i = 0; i < affected_sites_.size(); ++i) {
       site_cost_[static_cast<std::size_t>(affected_sites_[i])] =
           new_site_cost_[i];
     }
-  }
-
-  /// Rejection path, phase 1: remove pairs added at the *new* positions
-  /// (must run before the swap is undone).
-  void rollback_before_undo() {
-    if (cost_kind_ != CombinedCost::EdgeMatch) return;
-    update_pairs_for_nets(pending_mode_, pending_nets_, /*add=*/false);
-  }
-
-  /// Rejection path, phase 2: re-add pairs at the restored old positions.
-  void rollback_after_undo() {
-    if (cost_kind_ != CombinedCost::EdgeMatch) return;
-    update_pairs_for_nets(pending_mode_, pending_nets_, /*add=*/true);
-    MMFLOW_CHECK(matches_ == matches_backup_);
   }
 
   const std::vector<PlaceNetlist>& netlists_;
@@ -593,11 +684,13 @@ class CombinedSa {
   std::vector<double> pending_tcost_;
 
   // EdgeMatch engine state.
-  std::unordered_map<std::uint64_t, ModeSetLocal> match_table_;
+  PairTable match_table_;
   std::int64_t matches_ = 0;
-  std::int64_t matches_backup_ = 0;
-  int pending_mode_ = 0;
-  std::vector<std::uint32_t> pending_nets_;
+  std::int64_t pending_matches_ = 0;
+  std::vector<std::uint64_t> old_pairs_;  ///< moved connections' pairs now
+  std::vector<std::uint64_t> new_pairs_;  ///< ... and after the pending swap
+  std::uint64_t pair_probes_ = 0;
+  std::uint64_t pair_updates_ = 0;
 };
 
 }  // namespace

@@ -25,6 +25,31 @@ inline std::vector<std::uint64_t> random_words(std::size_t n, Rng& rng) {
   return words;
 }
 
+/// A sequential circuit of `bits` registered LUTs, each reading its own
+/// output, one primary input and both neighbours' outputs: every block sits
+/// on a self-loop (which `place::to_place_netlist` drops, as it needs no
+/// routing) and on registered two-block cycles.
+inline techmap::LutCircuit feedback_lut_circuit(int bits, std::uint64_t seed) {
+  using techmap::Ref;
+  Rng rng(seed);
+  techmap::LutCircuit c(4, "feedback" + std::to_string(seed));
+  const auto a = c.add_pi("a");
+  const auto b = c.add_pi("b");
+  for (int i = 0; i < bits; ++i) {
+    const auto self = static_cast<std::uint32_t>(i);
+    std::vector<Ref> inputs{Ref::block(self), Ref::pi(rng.next_bool(0.5) ? a : b)};
+    if (i > 0) inputs.push_back(Ref::block(self - 1));
+    if (i + 1 < bits) inputs.push_back(Ref::block(self + 1));
+    const std::uint64_t truth =
+        rng() & ((std::uint64_t{1} << (1u << inputs.size())) - 1);
+    c.add_block({"s" + std::to_string(i), std::move(inputs), truth,
+                 /*has_ff=*/true, /*ff_init=*/false});
+  }
+  c.add_po("lo", Ref::block(0));
+  c.add_po("hi", Ref::block(static_cast<std::uint32_t>(bits - 1)));
+  return c;
+}
+
 /// Reorders `words` (indexed by `from_names`) into `to_names` order.
 /// Missing names are an error: interfaces must match exactly.
 inline std::vector<std::uint64_t> reorder_words(

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "aig/bridge.h"
+#include "common/perf.h"
 #include "core/combined_place.h"
 #include "core/flows.h"
 #include "core/metrics.h"
@@ -96,6 +97,57 @@ TEST(CombinedPlace, EdgeMatchCostConsistent) {
               stats.final_cost, 1e-9);
   // Similar circuits must yield a healthy number of matches.
   EXPECT_GT(matched_connections(cp, grid), 0u);
+}
+
+TEST(CombinedPlace, EdgeMatchIncrementalCountMatchesOracle) {
+  // Property: after annealing, the incrementally maintained match count
+  // equals the from-scratch recount, for 1-4 modes and several seeds. The
+  // feedback circuits put every block on cycles with its neighbours, and
+  // the grid is as small as the largest mode allows, so most CLB swaps
+  // exchange two blocks and many move a driver together with one of its
+  // sinks.
+  const auto pair = similar_mode_pair(24, 5);
+  const std::vector<techmap::LutCircuit> pool{
+      testing::feedback_lut_circuit(9, 1), pair[0],
+      testing::feedback_lut_circuit(9, 2), pair[1]};
+  for (std::size_t num_modes = 1; num_modes <= pool.size(); ++num_modes) {
+    const std::vector<techmap::LutCircuit> modes(
+        pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(num_modes));
+    int max_clbs = 0;
+    int max_ios = 0;
+    for (const auto& m : modes) {
+      max_clbs = std::max<int>(max_clbs, static_cast<int>(m.num_blocks()));
+      max_ios = std::max<int>(max_ios,
+                              static_cast<int>(m.num_pis() + m.num_pos()));
+    }
+    const arch::DeviceGrid grid(arch::size_device(max_clbs, max_ios, 1.0));
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      CombinedPlaceOptions options;
+      options.cost = CombinedCost::EdgeMatch;
+      options.seed = seed;
+      options.anneal.inner_num = 1.0;
+      const auto probes_before = perf::counter_value("combined_place.pair_probes");
+      const auto updates_before =
+          perf::counter_value("combined_place.pair_updates");
+      CombinedPlaceStats stats;
+      const CombinedPlacement cp = combined_place(modes, grid, options, &stats);
+      const auto probes =
+          perf::counter_value("combined_place.pair_probes") - probes_before;
+      const auto updates =
+          perf::counter_value("combined_place.pair_updates") - updates_before;
+
+      EXPECT_EQ(-stats.final_cost,
+                static_cast<double>(matched_connections(cp, grid)))
+          << num_modes << " modes, seed " << seed;
+      // Only accepted moves write the table, and each writes exactly the
+      // pairs its delta probed.
+      EXPECT_GT(updates, 0u);
+      EXPECT_LE(updates, probes);
+      if (stats.moves_accepted < stats.moves_attempted && num_modes > 1) {
+        EXPECT_LT(updates, probes);
+      }
+    }
+  }
 }
 
 TEST(CombinedPlace, EdgeMatchBeatsRandomOnMatches) {

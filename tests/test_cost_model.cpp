@@ -158,6 +158,49 @@ TEST(CostModelGolden, CombinedPlacementBothEnginesBitIdentical) {
   }
 }
 
+// EdgeMatch beyond two modes, and on circuits whose registered LUTs read
+// their own outputs. Captured before the EdgeMatch pair table became a flat
+// open-addressing table with a read-only move delta.
+TEST(CostModelGolden, EdgeMatchMultiModeBitIdentical) {
+  struct Golden {
+    std::vector<techmap::LutCircuit> modes;
+    std::uint64_t placements;
+    std::uint64_t final_cost;
+  };
+  const Golden goldens[] = {
+      {{chainy_mode(12, 3), chainy_mode(12, 4), chainy_mode(12, 5)},
+       2236830629090954307ULL, 13847442954257432576ULL},  // cost -14.0
+      {{chainy_mode(12, 3), chainy_mode(12, 4), chainy_mode(12, 5),
+        chainy_mode(12, 6)},
+       9002653817507659065ULL, 13850539179001249792ULL},  // cost -23.0
+      {{testing::feedback_lut_circuit(10, 1), testing::feedback_lut_circuit(10, 2),
+        testing::feedback_lut_circuit(8, 3)},
+       7019114378202646274ULL, 13854479828675198976ULL},  // cost -42.0
+  };
+  for (const auto& golden : goldens) {
+    int max_clbs = 0;
+    int max_ios = 0;
+    for (const auto& m : golden.modes) {
+      max_clbs = std::max<int>(max_clbs, static_cast<int>(m.num_blocks()));
+      max_ios =
+          std::max<int>(max_ios, static_cast<int>(m.num_pis() + m.num_pos()));
+    }
+    const arch::DeviceGrid grid(arch::size_device(max_clbs, max_ios, 1.4));
+    core::CombinedPlaceOptions options;
+    options.cost = core::CombinedCost::EdgeMatch;
+    options.seed = 11;
+    core::CombinedPlaceStats stats;
+    const auto combined =
+        core::combined_place(golden.modes, grid, options, &stats);
+    Fnv f;
+    for (const auto& p : combined.placements) f.u64(hash_placement(p));
+    EXPECT_EQ(f.h, golden.placements) << golden.modes.size() << " modes";
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(stats.final_cost),
+              golden.final_cost)
+        << golden.modes.size() << " modes";
+  }
+}
+
 TEST(CostModelGolden, FlowOptionsHashStableAcrossTradeoffs) {
   core::FlowOptions options;
   options.anneal.inner_num = 2.0;

@@ -5,6 +5,7 @@
 #include "apps/regexp/engine.h"
 #include "apps/regexp/regex.h"
 #include "arch/rrg.h"
+#include "common/perf.h"
 #include "route/router.h"
 #include "core/combined_place.h"
 #include "helpers.h"
@@ -200,19 +201,47 @@ TEST(EdgeCases, RegexOverlappingMatches) {
 
 // ----------------------------------------------------- combined place edges
 
-TEST(EdgeCases, CombinedPlaceSingleMode) {
-  // Degenerate single-mode combined placement reduces to normal placement.
+techmap::LutCircuit solo_mode() {
   techmap::LutCircuit a(4, "solo");
   a.add_pi("x");
   a.add_block({"l0", {techmap::Ref::pi(0)}, 0b01, false, false});
   a.add_block({"l1", {techmap::Ref::block(0)}, 0b10, false, false});
   a.add_po("o", techmap::Ref::block(1));
+  return a;
+}
+
+TEST(EdgeCases, CombinedPlaceSingleMode) {
+  // Degenerate single-mode combined placement reduces to normal placement.
+  const auto a = solo_mode();
   const arch::DeviceGrid grid(arch::size_device(4, 4, 1.5));
   core::CombinedPlaceOptions options;
   options.anneal.inner_num = 1.0;
   const auto cp = core::combined_place({a}, grid, options);
   EXPECT_NO_THROW(cp.placements[0].validate(cp.netlists[0]));
   EXPECT_EQ(core::matched_connections(cp, grid), 0u);
+}
+
+TEST(EdgeCases, CombinedPlaceSingleModeEdgeMatch) {
+  // With one mode every "other modes" mask is empty: no pair can match, so
+  // every move's delta is 0 and every move is accepted.
+  const auto a = solo_mode();
+  const arch::DeviceGrid grid(arch::size_device(4, 4, 1.5));
+  core::CombinedPlaceOptions options;
+  options.cost = core::CombinedCost::EdgeMatch;
+  options.anneal.inner_num = 1.0;
+  const auto probes_before = perf::counter_value("combined_place.pair_probes");
+  const auto updates_before = perf::counter_value("combined_place.pair_updates");
+  core::CombinedPlaceStats stats;
+  const auto cp = core::combined_place({a}, grid, options, &stats);
+  EXPECT_NO_THROW(cp.placements[0].validate(cp.netlists[0]));
+  EXPECT_EQ(core::matched_connections(cp, grid), 0u);
+  EXPECT_EQ(stats.final_cost, 0.0);
+  // All moves accepted: the commits wrote exactly the pairs the deltas read.
+  const auto probes =
+      perf::counter_value("combined_place.pair_probes") - probes_before;
+  EXPECT_GT(probes, 0u);
+  EXPECT_EQ(perf::counter_value("combined_place.pair_updates") - updates_before,
+            probes);
 }
 
 }  // namespace
