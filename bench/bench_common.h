@@ -17,10 +17,6 @@
 ///   MMFLOW_INNER  annealing effort (VPR inner_num; default 5, paper-grade 10)
 ///   MMFLOW_SEED   master seed (default 1)
 ///   MMFLOW_JOBS   worker threads for batch-mode benches (default 1)
-///   MMFLOW_ROUTE_JOBS  worker threads for the parallel routing waves inside
-///                      every route call (default 1; 0 = all hardware
-///                      threads). Results are bit-identical for every value
-///                      (docs/ROUTING.md) — the knob trades wall time only
 ///   MMFLOW_TRADEOFF  timing-driven combined-placement weight λ (default 0,
 ///                    pure wirelength — results then bit-match the λ-less
 ///                    flow; bench_ablation_timing sweeps its own λ values)
@@ -116,7 +112,6 @@ struct BenchConfig {
   double inner_num = 5.0;
   std::uint64_t seed = 1;
   int jobs = 1;
-  int route_jobs = 1;
   double timing_tradeoff = 0.0;
   std::string cache_dir;  ///< empty = no persistent flow cache
   int job_retries = 0;     ///< batch mode: extra attempts per failed job
@@ -128,7 +123,6 @@ struct BenchConfig {
     config.inner_num = env_double("MMFLOW_INNER", config.inner_num);
     config.seed = env_u64("MMFLOW_SEED", config.seed);
     config.jobs = env_int("MMFLOW_JOBS", config.jobs);
-    config.route_jobs = env_int("MMFLOW_ROUTE_JOBS", config.route_jobs);
     config.timing_tradeoff =
         env_double("MMFLOW_TRADEOFF", config.timing_tradeoff);
     if (const char* dir = std::getenv("MMFLOW_CACHE_DIR")) {
@@ -169,7 +163,6 @@ struct BenchConfig {
     options.seed = seed;
     options.anneal.inner_num = inner_num;
     options.timing_tradeoff = tradeoff;
-    options.route_jobs = route_jobs;
     return options;
   }
 };

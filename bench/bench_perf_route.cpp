@@ -119,24 +119,6 @@ int main() {
     });
   }
 
-  // Parallel-wave sweep: the same problem at --route-jobs 1/2/4. QoR must be
-  // bit-identical across the jobs levels (the wave determinism contract,
-  // docs/ROUTING.md — CI asserts it on this JSON); only wall time and the
-  // route.parallel_* counters may differ.
-  {
-    const arch::RoutingGraph rrg(spec_with(20, 12));
-    const auto problem = random_problem(rrg, 300, 4, 7);
-    for (const int jobs : {1, 2, 4}) {
-      route::RouterOptions opt;
-      opt.jobs = jobs;
-      harness.run_case(
-          "route_parallel/modes=4/n=20/nets=300/jobs=" + std::to_string(jobs),
-          3, [&] {
-            const auto result = route::route(rrg, problem, opt);
-            return route_qor(rrg, result);
-          });
-    }
-  }
   {
     const arch::RoutingGraph rrg(spec_with(20, 16));
     const auto problem = random_problem(rrg, 200, 16, 13);

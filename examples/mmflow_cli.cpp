@@ -16,11 +16,6 @@
 ///                                 QoR plus the best seed
 ///   --jobs=K                      worker threads for --seeds (default 1;
 ///                                 0 = all hardware threads)
-///   --route-jobs=K                worker threads for the parallel routing
-///                                 waves inside every route call (default 1;
-///                                 0 = all hardware threads). Results are
-///                                 bit-identical for every value — see
-///                                 docs/ROUTING.md
 ///   --inner=F                     annealing effort (default 10)
 ///   --timing-tradeoff=F           timing-driven combined placement weight
 ///                                 λ in [0, 1] (default 0 = pure
@@ -128,7 +123,7 @@ namespace {
 void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--cost=wirelength|edgematch] [--seed=N] "
-               "[--seeds=N] [--jobs=K] [--route-jobs=K] [--inner=F] "
+               "[--seeds=N] [--jobs=K] [--inner=F] "
                "[--timing-tradeoff=F] [--cache-dir=PATH] [--resume] "
                "[--job-timeout-ms=N] [--retries=N] [--retry-backoff-ms=N] "
                "[--faults=SPEC] [--k=N] [--report] [--report-full] "
@@ -527,12 +522,6 @@ int main(int argc, char** argv) {
         jobs = parse_int(arg.substr(7), "--jobs");
         if (jobs < 0) {
           std::fprintf(stderr, "error: --jobs must be >= 0\n");
-          return 1;
-        }
-      } else if (arg.rfind("--route-jobs=", 0) == 0) {
-        options.route_jobs = parse_int(arg.substr(13), "--route-jobs");
-        if (options.route_jobs < 0) {
-          std::fprintf(stderr, "error: --route-jobs must be >= 0\n");
           return 1;
         }
       } else if (arg.rfind("--inner=", 0) == 0) {

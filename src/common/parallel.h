@@ -2,14 +2,12 @@
 /// \file parallel.h
 /// Shared deterministic work-queue machinery.
 ///
-/// Both parallel subsystems of mmflow — the batch flow driver
-/// (src/core/batch.h) and the parallel routing waves (src/route/router.cpp)
-/// — dispatch an *ordered* list of work items to a fixed set of worker
-/// threads through an atomic cursor, and collect results *by item index*.
-/// That shape is what makes their determinism contracts cheap to state:
-/// scheduling decides only which worker executes an item, never which items
-/// run or where their results land. `WorkerPool` is that shape, factored out
-/// once.
+/// The batch flow driver (src/core/batch.h) dispatches an *ordered* list of
+/// work items to a fixed set of worker threads through an atomic cursor,
+/// and collects results *by item index*. That shape is what makes its
+/// determinism contract cheap to state: scheduling decides only which
+/// worker executes an item, never which items run or where their results
+/// land. `WorkerPool` is that shape, factored out once.
 ///
 /// ## Execution model
 ///
@@ -32,8 +30,7 @@
 /// re-throws the original exception from `run()`; two or more throw an
 /// `AggregateError` carrying each failure's item index and message, in item
 /// order — deterministic regardless of which workers hit them first. Pools
-/// may be nested (a batch job may route with its own pool); the pools share
-/// nothing.
+/// may be nested; the pools share nothing.
 
 #include <atomic>
 #include <condition_variable>

@@ -19,10 +19,10 @@
 /// ## Thread-safety and the memory-order contract
 ///
 /// The registry is process-global; the name table is guarded by a mutex,
-/// and the counters/timers themselves are atomics, so the batch driver
-/// (src/core/batch.h) and the parallel routing waves can bump them from
-/// several worker threads without data races (audited under
-/// -DMMFLOW_SANITIZE=thread; docs/STATIC_ANALYSIS.md).
+/// and the counters/timers themselves are atomics, so the batch driver's
+/// workers (src/core/batch.h) can bump them from several threads without
+/// data races (audited under -DMMFLOW_SANITIZE=thread;
+/// docs/STATIC_ANALYSIS.md).
 ///
 /// Every counter/timer access is deliberately std::memory_order_relaxed,
 /// and that is the whole contract:

@@ -15,10 +15,8 @@
 /// shared ordered work-queue of src/common/parallel.h: an atomic cursor
 /// hands out job indices in order) and collects results *by job index*, so
 /// the returned vector is always in submission order regardless of which
-/// worker finished first — the "deterministic merge". The router's parallel
-/// waves ride the same machinery one layer down; a batch job may itself
-/// route with `FlowOptions::route_jobs` workers (the pools nest and share
-/// nothing).
+/// worker finished first — the "deterministic merge". This is the only
+/// level of parallelism in the flow: each job routes single-threaded.
 ///
 /// ## Determinism contract
 ///

@@ -133,10 +133,7 @@ std::uint64_t hash_flow_options(const FlowOptions& options) {
   // FlowKey::variant (whole-experiment entries only), so the λ-independent
   // MDR artifacts share cache entries across a tradeoff sweep and every
   // hash is bit-identical to the ones produced before the knob existed.
-  // route_jobs (and RouterOptions::jobs, which it overrides) is NOT hashed
-  // either — routed results are bit-identical for every jobs value, so a
-  // jobs sweep must share cache entries and keep every FlowKey stable
-  // (asserted by tests/test_route_parallel.cpp).
+  // route_jobs and RouterOptions::jobs are not hashed: both must be 1.
   return fnv.h;
 }
 
@@ -491,9 +488,8 @@ MultiModeExperiment compute_experiment(
   const DeviceGrid grid(base);
   FlowCache* const cache = context.cache;
 
-  // The flow-level route_jobs knob overrides the router-level one for every
-  // route call below. Results are bit-identical for any value, which is why
-  // neither knob participates in hash_flow_options or the FlowKeys.
+  // route_jobs rides into every route call below, where route() rejects
+  // any value but 1.
   route::RouterOptions router = options.router;
   router.jobs = options.route_jobs;
   // The cancel token rides the same way: execution-only, so it reaches every

@@ -117,22 +117,17 @@ struct FlowOptions {
   /// fixed reference flow. 0 (the default) is bit-identical to the λ-less
   /// flow, including the cached-flow hash.
   double timing_tradeoff = 0.0;
-  /// Worker threads for the parallel routing waves inside every route call
-  /// of the flow (width probes and final MDR/DCS routes): 1 = sequential
-  /// (the default), 0 = one per hardware thread, K = K workers. The flow
-  /// copies this into `RouterOptions::jobs` (overriding `router.jobs`).
-  /// Routed results are bit-identical for every value (docs/ROUTING.md), so
-  /// the knob is deliberately excluded from `hash_flow_options` and from
-  /// every `FlowKey` — a jobs sweep shares all cache entries, and results
-  /// cached at one jobs level are byte-identical to any other.
+  /// Must be 1. The flow copies it into `RouterOptions::jobs`, which
+  /// `route::route` rejects unless it is 1. The field exists only so the
+  /// frozen benchmark replica under dcsbench/ compiles; it is not hashed.
   int route_jobs = 1;
   /// Optional cooperative cancellation/deadline token, polled at annealer
   /// temperature epochs and PathFinder iterations throughout the flow (the
   /// batch driver plants per-job deadline tokens here — see core/batch.h).
-  /// Execution-only like `route_jobs`: a token never changes the bits a
-  /// *completed* flow produces, and a tripped token unwinds by exception
-  /// before any cache/store write, so it is excluded from
-  /// `hash_flow_options` and every `FlowKey`. Not owned; may be null.
+  /// Execution-only: a token never changes the bits a *completed* flow
+  /// produces, and a tripped token unwinds by exception before any
+  /// cache/store write, so it is excluded from `hash_flow_options` and
+  /// every `FlowKey`. Not owned; may be null.
   const CancelToken* cancel = nullptr;
 };
 

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <map>
-#include <memory>
-#include <optional>
 
 #include "common/log.h"
-#include "common/parallel.h"
 #include "common/perf.h"
 
 namespace mmflow::route {
@@ -31,12 +27,6 @@ double base_cost(RrKind kind) {
 }
 
 constexpr double kInf = 1e30;
-
-/// Connections per wave, per worker: large enough to amortize the wave
-/// barrier, small enough to keep speculative conflicts (and hence wasted
-/// re-routes) rare. Results are bit-identical for any value — it trades
-/// wall time only.
-constexpr std::size_t kWaveConnsPerWorker = 4;
 
 /// Per-node hot state, packed so that one A* relaxation touches a single
 /// cache line: the search-owned label (best_cost / prev_edge), the
@@ -89,8 +79,6 @@ class RouterState {
   /// Mutable hot-node array, shared with the search (which owns the
   /// best_cost / prev_edge fields between resets).
   [[nodiscard]] NodeHot* hot() { return hot_.data(); }
-  /// Read-only hot-node array for the speculative searches.
-  [[nodiscard]] const NodeHot* hot() const { return hot_.data(); }
 
   [[nodiscard]] ModeMask occupied(std::uint32_t node) const {
     return hot_[node].occupied;
@@ -121,15 +109,10 @@ class RouterState {
     bool aligned = false;
   };
 
-  /// `cleared` removes occupancy bits from the query without mutating state
-  /// — the speculative searches pass the modes their own rip-up would free
-  /// (see `would_release`); the sequential path passes 0, which compiles to
-  /// the original query.
   [[nodiscard]] Score score(std::uint32_t node, std::int32_t edge,
-                            std::int32_t net, ModeMask mask,
-                            ModeMask cleared = 0) const {
+                            std::int32_t net, ModeMask mask) const {
     Score s;
-    const ModeMask occ = hot_[node].occupied & ~cleared;
+    const ModeMask occ = hot_[node].occupied;
     const std::size_t base = static_cast<std::size_t>(node) * num_modes_;
     const OwnerRec want{net, edge};
 
@@ -158,24 +141,6 @@ class RouterState {
       }
     }
     return s;
-  }
-
-  /// Occupancy bits of `mask` that a release on `node` would actually clear
-  /// (single-claimant modes). This is the exact observable effect of a
-  /// connection ripping up its own path: multi-claimant modes keep their
-  /// bit and their owner record, so the speculative view = live occupancy
-  /// minus this mask.
-  [[nodiscard]] ModeMask would_release(std::uint32_t node,
-                                       ModeMask mask) const {
-    const std::size_t base = static_cast<std::size_t>(node) * num_modes_;
-    ModeMask cleared = 0;
-    for (ModeMask bits = mask; bits != 0; bits &= bits - 1) {
-      const int m = std::countr_zero(bits);
-      if (refs_[base + static_cast<std::size_t>(m)] == 1) {
-        cleared |= ModeMask{1} << m;
-      }
-    }
-    return cleared;
   }
 
   void occupy(std::uint32_t node, std::int32_t edge, std::int32_t net,
@@ -357,8 +322,7 @@ class AuditIndex {
 /// Flat, cache-friendly mirrors of the RRG fields the A* inner loop touches
 /// — a packed (target, edge-id) adjacency array in CSR order so one
 /// relaxation is one sequential 8-byte load instead of two dependent
-/// indirections. Immutable once built; one instance is shared read-only by
-/// the sequential search and every speculative worker.
+/// indirections. Immutable once built.
 struct FlatRrg {
   struct Adj {
     std::uint32_t to = 0;
@@ -395,159 +359,27 @@ struct FlatRrg {
   }
 };
 
-/// A* label storage for a speculative search: the same best_cost/prev_edge
-/// pair the sequential search keeps inside NodeHot, but private to one
-/// worker so concurrent speculations never touch shared memory.
-struct SpecLabel {
-  double best_cost = kInf;
-  std::int32_t prev_edge = -1;
-};
-
-/// View of the router state for the sequential search: labels live in the
-/// shared NodeHot array (one cache line per relaxation), occupancy is read
-/// live, nothing is recorded. Inlines to exactly the pre-parallel hot loop.
-struct SharedView {
-  NodeHot* hot;
-  const RouterState* state;
-
-  [[nodiscard]] double best_cost(std::uint32_t n) const {
-    return hot[n].best_cost;
-  }
-  void set_label(std::uint32_t n, double g, std::int32_t edge) {
-    hot[n].best_cost = g;
-    hot[n].prev_edge = edge;
-  }
-  void reset_label(std::uint32_t n) {
-    hot[n].best_cost = kInf;
-    hot[n].prev_edge = -1;
-  }
-  [[nodiscard]] std::int32_t prev_edge(std::uint32_t n) const {
-    return hot[n].prev_edge;
-  }
-  [[nodiscard]] bool is_sink(std::uint32_t n) const {
-    return hot[n].is_sink != 0;
-  }
-  [[nodiscard]] ModeMask occupied(std::uint32_t n) const {
-    return hot[n].occupied;
-  }
-  [[nodiscard]] double base_hist(std::uint32_t n) const {
-    return hot[n].base_hist;
-  }
-  [[nodiscard]] double base(std::uint32_t n) const { return state->base(n); }
-  [[nodiscard]] RouterState::Score score(std::uint32_t n, std::int32_t edge,
-                                         std::int32_t net,
-                                         ModeMask mask) const {
-    return state->score(n, edge, net, mask);
-  }
-  void note_read(std::uint32_t) {}
-};
-
-/// View for a speculative search: labels live in worker-private SpecLabel
-/// storage, the connection's own rip-up is applied as a read-only overlay
-/// (`would_release` masks, stamped per node), and every node whose
-/// occupancy the search reads is recorded — the read set the commit phase
-/// validates against. Reads the live state otherwise; the wave protocol
-/// guarantees nobody writes while speculations run.
-struct SpecView {
-  const NodeHot* hot;
-  const RouterState* state;
-  SpecLabel* labels;
-  const ModeMask* overlay_clear;
-  const std::uint32_t* overlay_stamp;
-  std::uint32_t overlay_epoch;
-  std::uint32_t* read_stamp;
-  std::uint32_t read_epoch;
-  std::vector<std::uint32_t>* reads;
-
-  [[nodiscard]] ModeMask cleared(std::uint32_t n) const {
-    return overlay_stamp[n] == overlay_epoch ? overlay_clear[n] : 0;
-  }
-
-  [[nodiscard]] double best_cost(std::uint32_t n) const {
-    return labels[n].best_cost;
-  }
-  void set_label(std::uint32_t n, double g, std::int32_t edge) {
-    labels[n].best_cost = g;
-    labels[n].prev_edge = edge;
-  }
-  void reset_label(std::uint32_t n) { labels[n] = SpecLabel{}; }
-  [[nodiscard]] std::int32_t prev_edge(std::uint32_t n) const {
-    return labels[n].prev_edge;
-  }
-  [[nodiscard]] bool is_sink(std::uint32_t n) const {
-    return hot[n].is_sink != 0;
-  }
-  [[nodiscard]] ModeMask occupied(std::uint32_t n) const {
-    return hot[n].occupied & ~cleared(n);
-  }
-  [[nodiscard]] double base_hist(std::uint32_t n) const {
-    return hot[n].base_hist;
-  }
-  [[nodiscard]] double base(std::uint32_t n) const { return state->base(n); }
-  [[nodiscard]] RouterState::Score score(std::uint32_t n, std::int32_t edge,
-                                         std::int32_t net,
-                                         ModeMask mask) const {
-    return state->score(n, edge, net, mask, cleared(n));
-  }
-  void note_read(std::uint32_t n) {
-    if (read_stamp[n] != read_epoch) {
-      read_stamp[n] = read_epoch;
-      reads->push_back(n);
-    }
-  }
-};
-
-/// A* search for one connection over the shared FlatRrg mirrors, with a
-/// reusable open heap that is cleared, not reallocated, per connection. The
-/// state view (label storage, occupancy reads, read recording) is a
-/// template parameter so the sequential and speculative searches share one
-/// relaxation loop — and therefore bit-identical arithmetic.
+/// A* search for one connection over the FlatRrg mirrors, with a
+/// reusable open heap that is cleared, not reallocated, per connection.
+/// Labels (best_cost / prev_edge) live in the router's NodeHot array, so one
+/// relaxation touches a single cache line.
 class Search {
  public:
   explicit Search(const FlatRrg& flat) : flat_(&flat) {}
 
-  /// Sequential search: returns the path (nodes + entering edges) or false
-  /// on failure. Scribbles A* labels into `state`'s hot-node array (reset
-  /// on entry via the touched list).
+  /// Returns the path (nodes + entering edges) or false on failure.
+  /// Scribbles A* labels into `state`'s hot-node array (reset on entry via
+  /// the touched list).
   bool run(RouterState& state, std::uint32_t source, std::uint32_t sink,
            std::int32_t net, ModeMask mask, double pres_fac,
            double share_discount, double align_discount, double astar_fac,
            RoutedConn* out) {
-    SharedView view{state.hot(), &state};
-    return run_impl(view, source, sink, net, mask, pres_fac, share_discount,
-                    align_discount, astar_fac, out);
-  }
-
-  /// Speculative search with a fully populated SpecView (labels must point
-  /// into this worker's storage). Read-only on `RouterState`.
-  bool run_speculative(SpecView& view, std::uint32_t source,
-                       std::uint32_t sink, std::int32_t net, ModeMask mask,
-                       double pres_fac, double share_discount,
-                       double align_discount, double astar_fac,
-                       RoutedConn* out) {
-    return run_impl(view, source, sink, net, mask, pres_fac, share_discount,
-                    align_discount, astar_fac, out);
-  }
-
-  /// Flushes accumulated per-search tallies into the perf registry. Call
-  /// from one thread at a time (the route driver flushes after joining).
-  void flush_perf() {
-    MMFLOW_PERF_ADD("route.heap_pushes", pushes_);
-    MMFLOW_PERF_ADD("route.heap_pops", pops_);
-    MMFLOW_PERF_ADD("route.nodes_expanded", expanded_);
-    pushes_ = 0;
-    pops_ = 0;
-    expanded_ = 0;
-  }
-
- private:
-  template <class View>
-  bool run_impl(View& view, std::uint32_t source, std::uint32_t sink,
-                std::int32_t net, ModeMask mask, double pres_fac,
-                double share_discount, double align_discount,
-                double astar_fac, RoutedConn* out) {
+    NodeHot* const hot = state.hot();
     // Reset touched entries from the previous search.
-    for (const std::uint32_t n : touched_) view.reset_label(n);
+    for (const std::uint32_t n : touched_) {
+      hot[n].best_cost = kInf;
+      hot[n].prev_edge = -1;
+    }
     touched_.clear();
     open_.clear();
 
@@ -569,64 +401,62 @@ class Search {
       conflict_factor[c] = 1.0 + pres_fac * c;
     }
 
-    view.set_label(source, 0.0, -1);
+    hot[source].best_cost = 0.0;
+    hot[source].prev_edge = -1;
     touched_.push_back(source);
     push(QEntry{astar_fac * distance(source), 0.0, source});
 
     while (!open_.empty()) {
       const QEntry top = pop();
       if (top.node == sink) break;
-      if (top.g > view.best_cost(top.node)) continue;  // stale entry
+      if (top.g > hot[top.node].best_cost) continue;  // stale entry
       ++expanded_;
 
       const FlatRrg::Adj* it = flat.adj.data() + flat.adj_offset[top.node];
       const FlatRrg::Adj* end = flat.adj.data() + flat.adj_offset[top.node + 1];
       for (; it != end; ++it) {
         const std::uint32_t to = it->to;
+        NodeHot& h = hot[to];
         // Sinks other than the target are dead ends.
-        if (view.is_sink(to) && to != sink) continue;
+        if (h.is_sink != 0 && to != sink) continue;
 
         double node_cost;
         if (to == sink) {
           node_cost = 0.0;
+        } else if (h.occupied == 0) {
+          // Uncontended node, nothing to share or align with: the former
+          // (base + history) * (1 + pres_fac * 0) collapses to one load
+          // (multiplying by exactly 1.0 is an identity).
+          node_cost = h.base_hist;
         } else {
-          // Everything below depends on the node's occupancy state, so the
-          // speculative view records `to` into the validation read set.
-          view.note_read(to);
-          if (view.occupied(to) == 0) {
-            // Uncontended node, nothing to share or align with: the former
-            // (base + history) * (1 + pres_fac * 0) collapses to one load
-            // (multiplying by exactly 1.0 is an identity).
-            node_cost = view.base_hist(to);
+          const auto edge_id = static_cast<std::int32_t>(it->edge);
+          const RouterState::Score s = state.score(to, edge_id, net, mask);
+          if (s.fully_shared) {
+            node_cost = state.base(to) * share_discount;
           } else {
-            const auto edge_id = static_cast<std::int32_t>(it->edge);
-            const RouterState::Score s = view.score(to, edge_id, net, mask);
-            if (s.fully_shared) {
-              node_cost = view.base(to) * share_discount;
-            } else {
-              node_cost = view.base_hist(to) * conflict_factor[s.conflicts];
-              if (s.aligned) node_cost *= align_discount;
-            }
+            node_cost = h.base_hist * conflict_factor[s.conflicts];
+            if (s.aligned) node_cost *= align_discount;
           }
         }
 
         const double g = top.g + node_cost;
-        if (g + 1e-12 < view.best_cost(to)) {
-          if (view.best_cost(to) == kInf) touched_.push_back(to);
-          view.set_label(to, g, static_cast<std::int32_t>(it->edge));
+        if (g + 1e-12 < h.best_cost) {
+          if (h.best_cost == kInf) touched_.push_back(to);
+          h.best_cost = g;
+          h.prev_edge = static_cast<std::int32_t>(it->edge);
           push(QEntry{g + astar_fac * distance(to), g, to});
         }
       }
     }
 
-    if (view.best_cost(sink) >= kInf) return false;
+    if (hot[sink].best_cost >= kInf) return false;
 
     // Reconstruct.
     out->nodes.clear();
     out->edges.clear();
     std::uint32_t node = sink;
     while (node != source) {
-      const std::int32_t e = view.prev_edge(node);
+      const std::int32_t e = hot[node].prev_edge;
       MMFLOW_CHECK(e >= 0);
       out->nodes.push_back(node);
       out->edges.push_back(static_cast<std::uint32_t>(e));
@@ -638,6 +468,17 @@ class Search {
     return true;
   }
 
+  /// Flushes accumulated per-search tallies into the perf registry.
+  void flush_perf() {
+    MMFLOW_PERF_ADD("route.heap_pushes", pushes_);
+    MMFLOW_PERF_ADD("route.heap_pops", pops_);
+    MMFLOW_PERF_ADD("route.nodes_expanded", expanded_);
+    pushes_ = 0;
+    pops_ = 0;
+    expanded_ = 0;
+  }
+
+ private:
   struct QEntry {
     double f = 0.0;
     double g = 0.0;
@@ -670,37 +511,15 @@ class Search {
   std::uint64_t expanded_ = 0;
 };
 
-/// One worker's private speculation state: a Search (own heap/touched
-/// list), label storage, the own-rip-up overlay and the read-set stamps.
-struct SpecWorker {
-  Search search;
-  std::vector<SpecLabel> labels;
-  std::vector<ModeMask> overlay_clear;
-  std::vector<std::uint32_t> overlay_stamp;
-  std::uint32_t overlay_epoch = 0;
-  std::vector<std::uint32_t> read_stamp;
-  std::uint32_t read_epoch = 0;
-
-  SpecWorker(const RoutingGraph& rrg, const FlatRrg& flat)
-      : search(flat),
-        labels(rrg.num_nodes()),
-        overlay_clear(rrg.num_nodes(), 0),
-        overlay_stamp(rrg.num_nodes(), 0),
-        read_stamp(rrg.num_nodes(), 0) {}
-};
-
-/// Output slot of one speculative search, reused across waves.
-struct SpecSlot {
-  RoutedConn path;  ///< nodes/edges only; net/conn/modes stay on the live rc
-  std::vector<std::uint32_t> reads;
-  bool found = false;
-};
-
 }  // namespace
 
 RouteResult route(const RoutingGraph& rrg, const RouteProblem& problem,
                   const RouterOptions& options) {
   MMFLOW_REQUIRE(problem.num_modes >= 1 && problem.num_modes <= 32);
+  MMFLOW_REQUIRE_MSG(options.jobs == 1,
+                     "RouterOptions::jobs must be 1 (got " << options.jobs
+                         << "): routing is sequential; parallelism lives in "
+                            "core::BatchDriver");
   // The bit-scan state updates index ownership rows by mask bit, so a stray
   // bit >= num_modes would read out of bounds (the former per-mode loops
   // silently ignored such bits); reject malformed masks up front.
@@ -719,29 +538,6 @@ RouteResult route(const RoutingGraph& rrg, const RouteProblem& problem,
   AuditIndex audit(rrg);
   const FlatRrg flat(rrg);
   Search search(flat);
-
-  // Parallel-wave machinery, spawned lazily at the first wave so a jobs > 1
-  // call whose iterations never accumulate two re-routable connections (tiny
-  // problems, converged rip-up lists) pays nothing. Everything here trades
-  // wall time only: results are bit-identical to the sequential path by the
-  // wave determinism contract (docs/ROUTING.md).
-  const int jobs = options.jobs == 1 ? 1 : parallel::resolve_jobs(options.jobs);
-  std::optional<parallel::WorkerPool> pool;
-  std::vector<std::unique_ptr<SpecWorker>> spec_workers;
-  std::vector<SpecSlot> slots;
-  std::vector<std::uint32_t> dirty_stamp;  ///< per node, == wave_epoch if
-                                           ///< occupancy changed this wave
-  std::uint32_t wave_epoch = 0;
-  const auto ensure_parallel = [&] {
-    if (pool.has_value()) return;
-    pool.emplace(jobs);
-    spec_workers.reserve(static_cast<std::size_t>(jobs));
-    for (int w = 0; w < jobs; ++w) {
-      spec_workers.push_back(std::make_unique<SpecWorker>(rrg, flat));
-    }
-    slots.resize(static_cast<std::size_t>(jobs) * kWaveConnsPerWorker);
-    dirty_stamp.assign(rrg.num_nodes(), 0);
-  };
 
   RouteResult result;
   for (std::uint32_t n = 0; n < problem.nets.size(); ++n) {
@@ -770,86 +566,16 @@ RouteResult route(const RoutingGraph& rrg, const RouteProblem& problem,
   double pres_fac = options.first_iter_pres_fac;
   std::vector<std::uint8_t> conn_in_conflict(result.conns.size(), 1);
 
-  // Rips up `ci`'s current path (no-op if it has none). In the parallel
-  // commit phase `mark_dirty` records the occupancy change for the wave's
-  // validation; sequentially it is null.
-  const auto rip_up = [&](std::size_t ci, const auto& mark_dirty) {
+  // Rips up `ci`'s current path (no-op if it has none).
+  const auto rip_up = [&](std::size_t ci) {
     RoutedConn& rc = result.conns[ci];
     if (rc.nodes.empty()) return;
     audit.remove_path(static_cast<std::uint32_t>(ci), rc);
-    for (const std::uint32_t node : rc.nodes) {
-      state.release(node, rc.modes);
-      mark_dirty(node);
-    }
+    for (const std::uint32_t node : rc.nodes) state.release(node, rc.modes);
     rc.nodes.clear();
     rc.edges.clear();
   };
 
-  // Commits `ci`'s freshly found path: occupancy, audit registration,
-  // counters. Shared verbatim by the sequential path and the wave commit.
-  const auto commit_path = [&](std::size_t ci, const auto& mark_dirty) {
-    RoutedConn& rc = result.conns[ci];
-    for (std::size_t i = 0; i < rc.nodes.size(); ++i) {
-      const std::int32_t edge =
-          i == 0 ? -1 : static_cast<std::int32_t>(rc.edges[i - 1]);
-      state.occupy(rc.nodes[i], edge, static_cast<std::int32_t>(rc.net),
-                   rc.modes);
-      mark_dirty(rc.nodes[i]);
-    }
-    audit.add_path(static_cast<std::uint32_t>(ci), rc);
-    MMFLOW_PERF_ADD("route.conns_routed", 1);
-  };
-
-  const auto no_dirty = [](std::uint32_t) {};
-
-  // Routes `ci` against the live state — the sequential semantics both the
-  // jobs=1 path and the wave conflict re-route use.
-  const auto route_sequential = [&](std::size_t ci, const auto& mark_dirty) {
-    RoutedConn& rc = result.conns[ci];
-    const auto& net = problem.nets[rc.net];
-    const auto& conn = net.conns[rc.conn];
-    rip_up(ci, mark_dirty);
-    const bool found = search.run(
-        state, net.source_node, conn.sink_node,
-        static_cast<std::int32_t>(rc.net), rc.modes, pres_fac,
-        options.share_discount, options.align_discount, options.astar_fac,
-        &rc);
-    MMFLOW_CHECK_MSG(found, "disconnected routing graph: no path for net "
-                                << net.name);
-    commit_path(ci, mark_dirty);
-  };
-
-  // One speculative task: search against the wave-start state with the
-  // connection's own rip-up applied as an overlay, recording the read set.
-  const auto speculate = [&](std::size_t ci, SpecWorker& w, SpecSlot& slot) {
-    const RoutedConn& rc = result.conns[ci];
-    const auto& net = problem.nets[rc.net];
-    const auto& conn = net.conns[rc.conn];
-
-    ++w.overlay_epoch;
-    for (const std::uint32_t node : rc.nodes) {
-      const ModeMask cleared = state.would_release(node, rc.modes);
-      if (cleared != 0) {
-        w.overlay_clear[node] = cleared;
-        w.overlay_stamp[node] = w.overlay_epoch;
-      }
-    }
-    ++w.read_epoch;
-    slot.reads.clear();
-
-    SpecView view{state.hot(),          &state,
-                  w.labels.data(),      w.overlay_clear.data(),
-                  w.overlay_stamp.data(), w.overlay_epoch,
-                  w.read_stamp.data(),  w.read_epoch,
-                  &slot.reads};
-    slot.found = w.search.run_speculative(
-        view, net.source_node, conn.sink_node,
-        static_cast<std::int32_t>(rc.net), rc.modes, pres_fac,
-        options.share_discount, options.align_discount, options.astar_fac,
-        &slot.path);
-  };
-
-  std::vector<std::size_t> to_route;
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
     poll_cancel(options.cancel);
     // Feasibility escape hatch: a merged connection constrains all its modes
@@ -862,15 +588,7 @@ RouteResult route(const RoutingGraph& rrg, const RouteProblem& problem,
       for (std::size_t ci = 0; ci < original; ++ci) {
         RoutedConn& rc = result.conns[ci];
         if (!conn_in_conflict[ci] || std::popcount(rc.modes) <= 1) continue;
-        // Rip up and split.
-        if (!rc.nodes.empty()) {
-          audit.remove_path(static_cast<std::uint32_t>(ci), rc);
-          for (const std::uint32_t node : rc.nodes) {
-            state.release(node, rc.modes);
-          }
-          rc.nodes.clear();
-          rc.edges.clear();
-        }
+        rip_up(ci);
         ModeMask remaining = rc.modes & (rc.modes - 1);  // all but lowest bit
         rc.modes &= ~remaining;                          // keep lowest bit
         // Copy before the push_backs below: they may reallocate result.conns
@@ -897,82 +615,29 @@ RouteResult route(const RoutingGraph& rrg, const RouteProblem& problem,
       }
     }
 
-    // The canonical routing order of this iteration. After the first
-    // iteration, only connections through conflicted nodes are re-routed
-    // (connection-router behaviour: untouched connections keep their path
-    // and their static bits).
-    to_route.clear();
+    // After the first iteration, only connections through conflicted nodes
+    // are re-routed (connection-router behaviour: untouched connections keep
+    // their path and their static bits).
     for (const std::size_t ci : order) {
       if (iter > 1 && !conn_in_conflict[ci]) continue;
-      to_route.push_back(ci);
-    }
-
-    if (jobs <= 1 || to_route.size() < 2) {
-      for (const std::size_t ci : to_route) route_sequential(ci, no_dirty);
-    } else {
-      // Parallel waves: speculate a slice of the canonical order on the
-      // worker pool against the frozen wave-start state, then commit in
-      // canonical order, re-routing every connection whose speculation read
-      // a node an earlier-ordered commit changed. See docs/ROUTING.md.
-      ensure_parallel();
-      const std::size_t wave_size = slots.size();
-      const auto mark_dirty = [&](std::uint32_t node) {
-        dirty_stamp[node] = wave_epoch;
-      };
-      for (std::size_t start = 0; start < to_route.size();
-           start += wave_size) {
-        const std::size_t count =
-            std::min(wave_size, to_route.size() - start);
-        {
-          MMFLOW_PERF_SCOPE("route.parallel_spec");
-          pool->run(count, [&](std::size_t i, int w) {
-            const auto t0 = std::chrono::steady_clock::now();
-            speculate(to_route[start + i], *spec_workers[w], slots[i]);
-            MMFLOW_PERF_ADD(
-                "route.parallel_busy_ns",
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count());
-          });
-        }
-        {
-          MMFLOW_PERF_SCOPE("route.parallel_commit");
-          ++wave_epoch;
-          for (std::size_t i = 0; i < count; ++i) {
-            const std::size_t ci = to_route[start + i];
-            SpecSlot& slot = slots[i];
-            // Valid iff the speculation succeeded and read no node whose
-            // occupancy an earlier-ordered commit of this wave changed —
-            // then its search provably equals the sequential one.
-            bool valid = slot.found;
-            if (valid) {
-              for (const std::uint32_t n : slot.reads) {
-                if (dirty_stamp[n] == wave_epoch) {
-                  valid = false;
-                  break;
-                }
-              }
-            }
-            if (valid) {
-              RoutedConn& rc = result.conns[ci];
-              rip_up(ci, mark_dirty);
-              std::swap(rc.nodes, slot.path.nodes);
-              std::swap(rc.edges, slot.path.edges);
-              commit_path(ci, mark_dirty);
-              MMFLOW_PERF_ADD("route.parallel_spec_commits", 1);
-            } else {
-              route_sequential(ci, mark_dirty);
-              MMFLOW_PERF_ADD("route.parallel_reroutes", 1);
-              // A discarded *successful* speculation is a read-set conflict;
-              // a failed one (slot.found == false, possible only on a
-              // disconnected overlay view) is a re-route but not a conflict.
-              if (slot.found) MMFLOW_PERF_ADD("route.parallel_conflicts", 1);
-            }
-          }
-        }
-        MMFLOW_PERF_ADD("route.parallel_waves", 1);
-        MMFLOW_PERF_ADD("route.parallel_wave_conns", count);
+      rip_up(ci);
+      RoutedConn& rc = result.conns[ci];
+      const auto& net = problem.nets[rc.net];
+      const bool found = search.run(
+          state, net.source_node, net.conns[rc.conn].sink_node,
+          static_cast<std::int32_t>(rc.net), rc.modes, pres_fac,
+          options.share_discount, options.align_discount, options.astar_fac,
+          &rc);
+      MMFLOW_CHECK_MSG(found, "disconnected routing graph: no path for net "
+                                  << net.name);
+      for (std::size_t i = 0; i < rc.nodes.size(); ++i) {
+        const std::int32_t edge =
+            i == 0 ? -1 : static_cast<std::int32_t>(rc.edges[i - 1]);
+        state.occupy(rc.nodes[i], edge, static_cast<std::int32_t>(rc.net),
+                     rc.modes);
       }
+      audit.add_path(static_cast<std::uint32_t>(ci), rc);
+      MMFLOW_PERF_ADD("route.conns_routed", 1);
     }
 
     const int bad = audit.run(result.conns, &state, options.hist_fac,
@@ -987,7 +652,6 @@ RouteResult route(const RoutingGraph& rrg, const RouteProblem& problem,
     pres_fac = std::min(pres_fac * options.pres_fac_mult, options.max_pres_fac);
   }
   search.flush_perf();
-  for (const auto& w : spec_workers) w->search.flush_perf();
   return result;
 }
 

@@ -24,16 +24,13 @@
 /// re-entrant, and one immutable RRG may be shared by any number of
 /// concurrent `route()` calls (the batch driver in src/core/batch.h relies
 /// on this: one graph per (arch, width), many seeds routing on it at once).
-/// Results are a pure function of (rrg, problem, options *excluding*
-/// `RouterOptions::jobs`) — bit-identical regardless of sharing or
-/// concurrency.
+/// Results are a pure function of (rrg, problem, options) — bit-identical
+/// regardless of sharing or concurrency.
 ///
-/// Parallel routing: with `RouterOptions::jobs > 1`, each PathFinder
-/// iteration routes its ripped-up connections in *waves* — speculative
-/// searches on a worker pool, committed in canonical connection order with
-/// deterministic conflict re-routing — and produces results bit-identical
-/// to the sequential router. See docs/ROUTING.md for the wave determinism
-/// contract and src/common/parallel.h for the work-queue machinery.
+/// Each `route()` call is single-threaded: one PathFinder loop re-routes
+/// the conflicted connections in a fixed order. Parallelism lives one level
+/// up, in core::BatchDriver, which runs whole flows (seeds, pairs, engines)
+/// side by side.
 
 #include <cstdint>
 #include <functional>
@@ -93,15 +90,14 @@ struct RouterOptions {
   /// for speed).
   double astar_fac = 1.2;
   std::uint64_t seed = 1;
-  /// Worker threads for the parallel routing waves: 1 = sequential (the
-  /// default), 0 = one per hardware thread, K = K workers. Results are
-  /// bit-identical for every value — `jobs` trades wall time only — so it is
-  /// deliberately excluded from `core::hash_flow_options` (a jobs sweep
-  /// shares flow-cache entries; see docs/ROUTING.md).
+  /// Must be 1; `route()` rejects any other value. Routing is sequential,
+  /// and the field exists only so the frozen benchmark replica under
+  /// dcsbench/ (which copies `FlowOptions::route_jobs` into it) compiles.
+  /// Not part of `core::hash_flow_options`.
   int jobs = 1;
   /// Optional cooperative cancellation, polled once per PathFinder
-  /// iteration. Execution-only like `jobs` (a completed route is unaffected
-  /// by the token), so also excluded from `core::hash_flow_options`.
+  /// iteration. Execution-only (a completed route is unaffected by the
+  /// token), so excluded from `core::hash_flow_options`.
   /// Not owned; may be null.
   const CancelToken* cancel = nullptr;
 };
@@ -140,10 +136,9 @@ struct RouteResult {
 
 /// Routes a problem; `result.success` is false if congestion could not be
 /// resolved within `options.max_iterations`. Re-entrant: all mutable state
-/// is per-call, `rrg` is only read, and with `options.jobs > 1` the internal
-/// worker pool is owned by this call alone — concurrent `route()` calls
-/// (parallel or not) never interact. The result is a pure function of
-/// (rrg, problem, options minus `jobs`).
+/// is per-call and `rrg` is only read, so concurrent `route()` calls never
+/// interact. The result is a pure function of (rrg, problem, options).
+/// Throws if `options.jobs != 1`.
 [[nodiscard]] RouteResult route(const arch::RoutingGraph& rrg,
                                 const RouteProblem& problem,
                                 const RouterOptions& options = {});
@@ -170,9 +165,7 @@ using RrgProvider = std::function<std::shared_ptr<const arch::RoutingGraph>(
 /// upward then binary-searching. `spec` provides everything but the channel
 /// width. Returns the minimum W; throws if none <= `max_width` works.
 /// A null `rrg_provider` builds each probed width's graph locally.
-/// Re-entrant (concurrent searches may even share one `RrgProvider`); the
-/// probes inherit `options.jobs`, so the width search parallelizes with the
-/// same bit-identical-results guarantee as `route()`.
+/// Re-entrant (concurrent searches may even share one `RrgProvider`).
 [[nodiscard]] int min_channel_width(
     arch::ArchSpec spec, const std::function<RouteProblem(const arch::RoutingGraph&)>& make_problem,
     const RouterOptions& options = {}, int max_width = 128,

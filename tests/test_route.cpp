@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "arch/rrg.h"
+#include "common/check.h"
 #include "common/rng.h"
 #include "route/router.h"
 
@@ -13,6 +16,61 @@ arch::ArchSpec spec_with(int n, int w) {
   spec.ny = n;
   spec.channel_width = w;
   return spec;
+}
+
+/// Random multi-mode problem, same shape as bench_perf_route's generator.
+RouteProblem random_problem(const arch::RoutingGraph& rrg, int nets,
+                            int num_modes, std::uint64_t seed) {
+  Rng rng(seed);
+  const auto& spec = rrg.spec();
+  RouteProblem problem;
+  problem.num_modes = num_modes;
+  std::set<std::pair<int, int>> used_sources;
+  for (int n = 0; n < nets; ++n) {
+    RouteNet net;
+    net.name = "n" + std::to_string(n);
+    const int sx = static_cast<int>(rng.next_int(1, spec.nx));
+    const int sy = static_cast<int>(rng.next_int(1, spec.ny));
+    if (!used_sources.emplace(sx, sy).second) continue;
+    net.source_node = rrg.clb_source(sx, sy);
+    const int fanout = 1 + static_cast<int>(rng.next_below(3));
+    for (int f = 0; f < fanout; ++f) {
+      int tx = static_cast<int>(rng.next_int(1, spec.nx));
+      int ty = static_cast<int>(rng.next_int(1, spec.ny));
+      if (tx == sx && ty == sy) tx = (tx % spec.nx) + 1;
+      const ModeMask mask =
+          num_modes == 1 ? 1u
+                         : static_cast<ModeMask>(
+                               1u + rng.next_below((1u << num_modes) - 1));
+      net.conns.push_back(RouteConn{rrg.clb_sink(tx, ty), mask});
+    }
+    problem.nets.push_back(std::move(net));
+  }
+  return problem;
+}
+
+/// FNV-1a over everything QoR-relevant in a route result. Two results hash
+/// equal iff they are bit-identical for the router's purposes.
+std::uint64_t hash_result(const RouteResult& result) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<std::uint8_t>(v >> (8 * i));
+      h *= 1099511628211ULL;
+    }
+  };
+  mix(result.success ? 1 : 0);
+  mix(static_cast<std::uint64_t>(result.iterations));
+  mix(result.conns.size());
+  for (const RoutedConn& rc : result.conns) {
+    mix(rc.net);
+    mix(rc.conn);
+    mix(rc.modes);
+    mix(rc.nodes.size());
+    for (const auto n : rc.nodes) mix(n);
+    for (const auto e : rc.edges) mix(e);
+  }
+  return h;
 }
 
 /// Audits a successful result against first principles: each connection's
@@ -229,6 +287,29 @@ TEST(Router, DeterministicForSeed) {
   }
 }
 
+/// Golden pin for a TRoute-regime problem (10x10, W=6, 40 nets, 4 modes,
+/// seed 7). A failure means routed results drifted — which would also
+/// invalidate every cached flow artifact — not merely that a test
+/// expectation aged.
+TEST(Router, GoldenHashPinned) {
+  const arch::RoutingGraph rrg(spec_with(10, 6));
+  const auto problem = random_problem(rrg, 40, 4, 7);
+  EXPECT_EQ(hash_result(route(rrg, problem)), 0xb6acab08c334b479ULL);
+}
+
+TEST(Router, RejectsJobsOtherThanOne) {
+  const arch::RoutingGraph rrg(spec_with(4, 3));
+  RouteProblem problem;
+  RouteNet net;
+  net.name = "n0";
+  net.source_node = rrg.clb_source(1, 1);
+  net.conns.push_back(RouteConn{rrg.clb_sink(4, 4), 1});
+  problem.nets.push_back(net);
+  RouterOptions options;
+  options.jobs = 4;
+  EXPECT_THROW((void)route(rrg, problem, options), PreconditionError);
+}
+
 TEST(Router, SplitEscapeHatchKeepsLegality) {
   // A three-mode merged connection pins the same physical path (wires, pins)
   // in every mode; saturating a width-1 fabric with different per-mode cross
@@ -259,6 +340,10 @@ TEST(Router, SplitEscapeHatchKeepsLegality) {
   options.split_conflicted_after = 4;
   const RouteResult result = route(rrg, problem, options);
   ASSERT_TRUE(result.success);
+  // Golden pin: 6 iterations, 12 routed connections after the split.
+  EXPECT_EQ(result.iterations, 6);
+  EXPECT_EQ(result.conns.size(), 12u);
+  EXPECT_EQ(hash_result(result), 0xea9b690ad80edb51ULL);
 
   // The merged connection was split: several pieces with disjoint sub-masks
   // whose union is the original activation set, each a complete path.
