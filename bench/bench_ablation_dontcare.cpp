@@ -23,12 +23,12 @@ int main() {
     const auto benches = bench::build_suite(suite, config);
     Summary dc, strict;
     for (const auto& b : benches) {
-      const auto experiment = core::run_experiment(
-          b.modes, config.flow_options(core::CombinedCost::WireLength));
-      dc.add(core::reconfig_metrics(experiment, bitstream::MuxEncoding::Binary,
+      const auto experiment = bench::run_one(
+          b, config.flow_options(core::CombinedCost::WireLength), config);
+      dc.add(core::reconfig_metrics(*experiment, bitstream::MuxEncoding::Binary,
                                     /*exploit_dontcares=*/true)
                  .dcs_speedup());
-      strict.add(core::reconfig_metrics(experiment,
+      strict.add(core::reconfig_metrics(*experiment,
                                         bitstream::MuxEncoding::Binary,
                                         /*exploit_dontcares=*/false)
                      .dcs_speedup());

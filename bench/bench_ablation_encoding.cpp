@@ -21,12 +21,12 @@ int main() {
 
   Summary speedup_bin, speedup_onehot, ratio_bin, ratio_onehot;
   for (const auto& b : benches) {
-    const auto experiment =
-        core::run_experiment(b.modes, config.flow_options(core::CombinedCost::WireLength));
+    const auto experiment = bench::run_one(
+        b, config.flow_options(core::CombinedCost::WireLength), config);
     const auto bin =
-        core::reconfig_metrics(experiment, bitstream::MuxEncoding::Binary);
+        core::reconfig_metrics(*experiment, bitstream::MuxEncoding::Binary);
     const auto onehot =
-        core::reconfig_metrics(experiment, bitstream::MuxEncoding::OneHot);
+        core::reconfig_metrics(*experiment, bitstream::MuxEncoding::OneHot);
     speedup_bin.add(bin.dcs_speedup());
     speedup_onehot.add(onehot.dcs_speedup());
     ratio_bin.add(static_cast<double>(bin.region_routing_bits) /

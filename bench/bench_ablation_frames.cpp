@@ -24,12 +24,12 @@ int main() {
   };
   std::vector<Analysis> runs;
   for (const auto& b : benches) {
-    const auto experiment = core::run_experiment(
-        b.modes, config.flow_options(core::CombinedCost::WireLength));
-    const arch::RoutingGraph rrg(experiment.region);
+    const auto experiment = bench::run_one(
+        b, config.flow_options(core::CombinedCost::WireLength), config);
+    const arch::RoutingGraph rrg(experiment->region);
     runs.push_back(Analysis{
-        experiment.region,
-        experiment.dcs_routing.per_mode_states(rrg, experiment.dcs_problem)});
+        experiment->region,
+        experiment->dcs_routing.per_mode_states(rrg, experiment->dcs_problem)});
   }
 
   std::printf("%-12s | %-26s\n", "frame bits", "frames touched / total (avg)");

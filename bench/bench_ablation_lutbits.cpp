@@ -22,16 +22,16 @@ int main() {
     const auto benches = bench::build_suite(suite, config);
     Summary all_bits, diff_bits;
     for (const auto& b : benches) {
-      const auto experiment = core::run_experiment(
-          b.modes, config.flow_options(core::CombinedCost::WireLength));
+      const auto experiment = bench::run_one(
+          b, config.flow_options(core::CombinedCost::WireLength), config);
       const auto metrics =
-          core::reconfig_metrics(experiment, bitstream::MuxEncoding::Binary);
+          core::reconfig_metrics(*experiment, bitstream::MuxEncoding::Binary);
       all_bits.add(metrics.dcs_speedup());
 
       // Refined DCS cost: parameterized LUT bits + parameterized routing.
-      const arch::RoutingGraph rrg(experiment.region);
+      const arch::RoutingGraph rrg(experiment->region);
       const bitstream::ConfigModel model(rrg, bitstream::MuxEncoding::Binary);
-      const auto lut_configs = core::dcs_lut_configs(experiment);
+      const auto lut_configs = core::dcs_lut_configs(*experiment);
       const auto param_lut = model.parameterized_lut_bits(lut_configs);
       const double refined =
           static_cast<double>(metrics.mdr_bits) /

@@ -5,7 +5,7 @@
 /// numbers are stable across seeds.
 ///
 /// Runs as a *batch*: the seeds are expanded with core::seed_sweep and
-/// executed by the BatchDriver (MMFLOW_JOBS worker threads, default 1),
+/// executed by the bench driver (MMFLOW_JOBS worker threads, default 1),
 /// sharing one RRG per probed width across all seeds. Per-seed results are
 /// bit-identical to sequential runs (the batch determinism contract), and
 /// each seed's QoR streams into the JSON report as its own row together
@@ -31,22 +31,17 @@ int main() {
   const auto& b = benches.front();
 
   constexpr int kNumSeeds = 5;
-  core::BatchOptions batch_options;
-  batch_options.jobs = config.jobs;
-  batch_options.cache_dir = config.cache_dir;  // MMFLOW_CACHE_DIR, if set
-  batch_options.max_retries = config.job_retries;
-  batch_options.job_timeout_ms = config.job_timeout_ms;
-  core::BatchDriver driver(batch_options);
-  auto base = config.flow_options(core::CombinedCost::WireLength);
-  base.seed = config.seed;
+  // The per-seed outcome and wall time go into the rows, so this bench reads
+  // the BatchResults itself rather than going through run_jobs.
+  core::BatchDriver& driver = bench::driver(config);
   const auto jobs = core::seed_sweep(
       b.name,
-      std::make_shared<const std::vector<techmap::LutCircuit>>(b.modes), base,
-      kNumSeeds);
+      std::make_shared<const std::vector<techmap::LutCircuit>>(b.modes),
+      config.flow_options(core::CombinedCost::WireLength), kNumSeeds);
   const auto results = driver.run(jobs);
 
   std::printf("circuit %s, DCS-WireLength, %d seeds, %d worker(s):\n\n",
-              b.name.c_str(), kNumSeeds, batch_options.jobs);
+              b.name.c_str(), kNumSeeds, config.batch.jobs);
   std::printf("%-6s | %-9s | %-12s | %-10s\n", "seed", "speed-up",
               "wires vs MDR", "merged conns");
   std::printf("-------+-----------+--------------+-------------\n");

@@ -40,10 +40,9 @@ int main() {
     const auto benches = bench::build_suite(suite, config);
     for (const auto& b : benches) {
       for (const double tradeoff : tradeoffs) {
-        const auto experiment = core::run_experiment_shared(
-            b.modes,
-            config.flow_options(core::CombinedCost::WireLength, tradeoff),
-            bench::shared_context());
+        const auto experiment = bench::run_one(
+            b, config.flow_options(core::CombinedCost::WireLength, tradeoff),
+            config);
         const auto report = core::timing_report(*experiment, b.modes);
         const auto wl = core::wirelength_metrics(*experiment);
 

@@ -26,14 +26,14 @@ int main() {
     for (const auto& b : benches) {
       auto options = config.flow_options(core::CombinedCost::EdgeMatch);
       options.tplace_from_scratch_for_edgematch = tplace;
-      const auto experiment = core::run_experiment(b.modes, options);
-      const auto wl = core::wirelength_metrics(experiment);
+      const auto experiment = bench::run_one(b, options, config);
+      const auto wl = core::wirelength_metrics(*experiment);
       for (std::size_t m = 0; m < wl.mdr.size(); ++m) {
         wires.add(100.0 * static_cast<double>(wl.dcs[m]) /
                   static_cast<double>(wl.mdr[m]));
       }
       speedup.add(
-          core::reconfig_metrics(experiment, bitstream::MuxEncoding::Binary)
+          core::reconfig_metrics(*experiment, bitstream::MuxEncoding::Binary)
               .dcs_speedup());
     }
     std::printf("%-14s | %-26s | %-22s\n",

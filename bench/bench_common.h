@@ -3,39 +3,17 @@
 /// Shared harness for the experiment-reproduction benches. Every bench
 /// prints the paper's reported values next to the measured ones.
 ///
-/// Since PR 2 the benches run on top of the flow-level caches
-/// (core::FlowCache + core::RrgCache via `shared_context()`): a bench that
-/// compares cost engines on the same circuit re-uses the engine-independent
-/// MDR placements/routes and the per-width routing graphs instead of
+/// Every experiment a bench runs is a `core::BatchJob` submitted through
+/// `run_jobs` (or `run_one`, a one-job call of it) to one process-wide
+/// `core::BatchDriver`. Its flow cache and per-width routing graphs are
+/// shared by every job, so a bench that compares cost engines on the same
+/// circuit re-uses the engine-independent MDR placements/routes instead of
 /// recomputing them — results are bit-identical either way (see the
 /// determinism contract in src/core/flows.h). Cache hit/miss counters land
 /// in each bench's JSON report next to the QoR rows (`write_rows_json`).
 ///
-/// Environment knobs:
-///   MMFLOW_PAIRS  multi-mode circuits per suite (default 3; 0 = all 10,
-///                 the paper's full experiment)
-///   MMFLOW_INNER  annealing effort (VPR inner_num; default 5, paper-grade 10)
-///   MMFLOW_SEED   master seed (default 1)
-///   MMFLOW_JOBS   worker threads for batch-mode benches (default 1)
-///   MMFLOW_TRADEOFF  timing-driven combined-placement weight λ (default 0,
-///                    pure wirelength — results then bit-match the λ-less
-///                    flow; bench_ablation_timing sweeps its own λ values)
-///   MMFLOW_CACHE_DIR  persistent flow-cache directory (default unset = no
-///                     persistence): attaches a core::ArtifactStore to the
-///                     shared context, so a rerun in a fresh process replays
-///                     cached experiments bit-identically as disk hits —
-///                     `flowcache.disk_*` counters land in the bench JSON
-///                     (docs/CACHING.md)
-///   MMFLOW_BENCH_JSON  output path of the JSON report (default
-///                      <bench name>.json in cwd)
-///   MMFLOW_FAULTS  deterministic fault-injection spec (common/faults.h),
-///                  e.g. "store.read@2,batch.job~0.25/7" — the chaos smoke:
-///                  with retries armed the QoR rows must be bit-identical
-///                  to a fault-free run (docs/ROBUSTNESS.md)
-///   MMFLOW_JOB_RETRIES  batch mode: re-run failed/timed-out jobs up to N
-///                       extra times (default 0)
-///   MMFLOW_JOB_TIMEOUT_MS  batch mode: per-job cooperative wall-clock
-///                          deadline in ms (default 0 = none)
+/// `BenchConfig::from_env` reads the MMFLOW_* environment knobs; their
+/// table is in bench/README.md.
 ///
 /// Numeric knobs are parsed with the checked parsers of common/strings.h: a
 /// malformed value (e.g. MMFLOW_JOBS=abc, which std::atoi would silently
@@ -58,7 +36,6 @@
 #include "common/log.h"
 #include "common/perf.h"
 #include "common/stats.h"
-#include "core/artifact_store.h"
 #include "core/batch.h"
 #include "core/flows.h"
 #include "common/strings.h"
@@ -111,26 +88,26 @@ struct BenchConfig {
   int pairs = 3;
   double inner_num = 5.0;
   std::uint64_t seed = 1;
-  int jobs = 1;
   double timing_tradeoff = 0.0;
-  std::string cache_dir;  ///< empty = no persistent flow cache
-  int job_retries = 0;     ///< batch mode: extra attempts per failed job
-  int job_timeout_ms = 0;  ///< batch mode: per-job deadline (0 = none)
+  /// How the bench driver runs jobs: MMFLOW_JOBS, MMFLOW_CACHE_DIR,
+  /// MMFLOW_JOB_RETRIES and MMFLOW_JOB_TIMEOUT_MS.
+  core::BatchOptions batch;
 
   [[nodiscard]] static BenchConfig from_env() {
     BenchConfig config;
     config.pairs = env_int("MMFLOW_PAIRS", config.pairs);
     config.inner_num = env_double("MMFLOW_INNER", config.inner_num);
     config.seed = env_u64("MMFLOW_SEED", config.seed);
-    config.jobs = env_int("MMFLOW_JOBS", config.jobs);
     config.timing_tradeoff =
         env_double("MMFLOW_TRADEOFF", config.timing_tradeoff);
+    config.batch.jobs = env_int("MMFLOW_JOBS", config.batch.jobs);
     if (const char* dir = std::getenv("MMFLOW_CACHE_DIR")) {
-      config.cache_dir = dir;
+      config.batch.cache_dir = dir;
     }
-    config.job_retries = env_int("MMFLOW_JOB_RETRIES", config.job_retries);
-    config.job_timeout_ms =
-        env_int("MMFLOW_JOB_TIMEOUT_MS", config.job_timeout_ms);
+    config.batch.max_retries =
+        env_int("MMFLOW_JOB_RETRIES", config.batch.max_retries);
+    config.batch.job_timeout_ms =
+        env_int("MMFLOW_JOB_TIMEOUT_MS", config.batch.job_timeout_ms);
     register_robustness_counters();
     // Arm chaos mode if MMFLOW_FAULTS is set; a malformed spec is reported
     // like any other bad knob.
@@ -167,23 +144,42 @@ struct BenchConfig {
   }
 };
 
-/// Process-wide flow caches shared by every run_one / run_batch call in a
-/// bench binary. Engine comparisons and repeated configurations then hit
-/// the flow cache; per-width routing graphs are built once. With
-/// MMFLOW_CACHE_DIR set, the cache persists to a core::ArtifactStore — a
+/// The one driver every job of a bench binary runs on, built from the first
+/// caller's `config.batch`. Engine comparisons and repeated configurations
+/// then hit its flow cache, and per-width routing graphs are built once.
+/// With MMFLOW_CACHE_DIR set the cache persists to a core::ArtifactStore — a
 /// rerun in a fresh process replays the cached experiments as disk hits
 /// with bit-identical QoR (the CI persistent-cache smoke asserts this).
-inline core::FlowContext shared_context() {
-  static core::FlowCache cache;
-  static core::RrgCache rrgs;
-  [[maybe_unused]] static const bool attached = [] {
-    if (const char* dir = std::getenv("MMFLOW_CACHE_DIR"); dir != nullptr &&
-                                                           *dir != '\0') {
-      cache.attach_store(std::make_shared<core::ArtifactStore>(dir));
+inline core::BatchDriver& driver(const BenchConfig& config) {
+  static core::BatchDriver instance(config.batch);
+  return instance;
+}
+
+/// Runs `jobs` on the bench driver and returns their experiments in
+/// submission order. A job that still fails after MMFLOW_JOB_RETRIES is
+/// fatal: it is named on stderr and the bench exits 1.
+inline std::vector<std::shared_ptr<const core::MultiModeExperiment>> run_jobs(
+    const BenchConfig& config, const std::vector<core::BatchJob>& jobs) {
+  std::vector<std::shared_ptr<const core::MultiModeExperiment>> experiments;
+  for (const core::BatchResult& result : driver(config).run(jobs)) {
+    if (result.experiment == nullptr) {
+      std::fprintf(stderr, "error: job %s %s: %s\n", result.name.c_str(),
+                   core::to_string(result.outcome.status),
+                   result.error.c_str());
+      std::exit(1);
     }
-    return true;
-  }();
-  return core::FlowContext{&cache, &rrgs};
+    experiments.push_back(result.experiment);
+  }
+  return experiments;
+}
+
+/// One experiment on the bench driver (a one-job `run_jobs`).
+inline std::shared_ptr<const core::MultiModeExperiment> run_one(
+    const apps::MultiModeBenchmark& bench, const core::FlowOptions& options,
+    const BenchConfig& config) {
+  const auto modes =
+      std::make_shared<const std::vector<techmap::LutCircuit>>(bench.modes);
+  return run_jobs(config, {{bench.name, modes, options}}).front();
 }
 
 /// One multi-mode circuit's results under one cost engine.
@@ -206,13 +202,12 @@ inline std::vector<apps::MultiModeBenchmark> build_suite(
 }
 
 /// Extracts the bench-level record from a finished experiment.
-inline ExperimentRecord make_record(const std::string& name,
-                                    const core::MultiModeExperiment& experiment,
-                                    bool exploit_dontcares = true) {
+inline ExperimentRecord make_record(
+    const std::string& name, const core::MultiModeExperiment& experiment) {
   ExperimentRecord record;
   record.name = name;
-  record.reconfig = core::reconfig_metrics(
-      experiment, bitstream::MuxEncoding::Binary, exploit_dontcares);
+  record.reconfig =
+      core::reconfig_metrics(experiment, bitstream::MuxEncoding::Binary);
   record.wirelength = core::wirelength_metrics(experiment);
   record.merged = experiment.merged_connections;
   record.total_conns = experiment.total_mode_connections;
@@ -220,13 +215,19 @@ inline ExperimentRecord make_record(const std::string& name,
   return record;
 }
 
-inline ExperimentRecord run_one(const apps::MultiModeBenchmark& bench,
-                                core::CombinedCost cost,
-                                const BenchConfig& config,
-                                bool exploit_dontcares = true) {
-  const auto experiment = core::run_experiment_shared(
-      bench.modes, config.flow_options(cost), shared_context());
-  return make_record(bench.name, *experiment, exploit_dontcares);
+/// Both cost engines on one circuit, submitted as one batch
+/// (core::engine_sweep): the EdgeMatch record, then the WireLength one.
+inline std::vector<ExperimentRecord> run_engines(
+    const apps::MultiModeBenchmark& bench, const BenchConfig& config) {
+  const auto jobs = core::engine_sweep(
+      bench.name,
+      std::make_shared<const std::vector<techmap::LutCircuit>>(bench.modes),
+      config.flow_options(core::CombinedCost::WireLength));
+  std::vector<ExperimentRecord> records;
+  for (const auto& experiment : run_jobs(config, jobs)) {
+    records.push_back(make_record(bench.name, *experiment));
+  }
+  return records;
 }
 
 inline void print_header(const char* title, const BenchConfig& config) {

@@ -24,10 +24,9 @@ int main() {
     Summary em;
     Summary wl;
     for (const auto& b : benches) {
-      em.add(bench::run_one(b, core::CombinedCost::EdgeMatch, config)
-                 .reconfig.dcs_speedup());
-      wl.add(bench::run_one(b, core::CombinedCost::WireLength, config)
-                 .reconfig.dcs_speedup());
+      const auto records = bench::run_engines(b, config);
+      em.add(records[0].reconfig.dcs_speedup());
+      wl.add(records[1].reconfig.dcs_speedup());
     }
     std::printf("%-8s | %-22s | %-22s\n", suite.c_str(),
                 bench::summary_str(em).c_str(), bench::summary_str(wl).c_str());

@@ -23,8 +23,10 @@ int main() {
   Summary mdr_lut_pct, diff_lut_pct, dcs_lut_pct;
   Summary reduction_diff, reduction_dcs, diff_to_dcs;
   for (const auto& b : benches) {
-    const auto record =
-        bench::run_one(b, core::CombinedCost::WireLength, config);
+    const auto record = bench::make_record(
+        b.name,
+        *bench::run_one(
+            b, config.flow_options(core::CombinedCost::WireLength), config));
     const auto& m = record.reconfig;
     mdr_lut_pct.add(100.0 * static_cast<double>(m.lut_bits) /
                     static_cast<double>(m.mdr_bits));

@@ -6,10 +6,10 @@
 /// RegExp/FIR applications, up to 45% and wider spread for MCNC); edge
 /// matching sometimes exceeds 2x.
 ///
-/// The two engine runs per circuit share one flow context, so the second
-/// engine's MDR side (placements, width probes, final routes) comes from the
-/// flow cache — the JSON report's `flowcache.*_hits` counters prove it, and
-/// the rows carry the per-circuit QoR per engine.
+/// The two engine runs per circuit are one batch on the bench driver, so
+/// they share one MDR side (placements, width probes, final routes) through
+/// the flow cache — the JSON report's `flowcache.*_hits` counters prove it,
+/// and the rows carry the per-circuit QoR per engine.
 
 #include "bench_common.h"
 
@@ -48,8 +48,9 @@ int main() {
     for (const auto& b : benches) {
       // Per-mode ratios feed the statistics (the paper averages over modes
       // and uses error bars for the extremes across circuits).
-      const auto em_rec = bench::run_one(b, core::CombinedCost::EdgeMatch, config);
-      const auto wl_rec = bench::run_one(b, core::CombinedCost::WireLength, config);
+      const auto records = bench::run_engines(b, config);
+      const auto& em_rec = records[0];
+      const auto& wl_rec = records[1];
       add_row(em_rec, "edgematch");
       add_row(wl_rec, "wirelength");
       for (std::size_t m = 0; m < em_rec.wirelength.mdr.size(); ++m) {

@@ -58,11 +58,8 @@ int main() {
   options.seed = config.seed;
   options.budget = bench::env_int("MMFLOW_TUNE_BUDGET", 6);
   options.base = config.flow_options(core::CombinedCost::WireLength);
-  options.cache_dir = config.cache_dir;
-  options.resume = !config.cache_dir.empty();
-  options.jobs = config.jobs;
-  options.max_retries = config.job_retries;
-  options.job_timeout_ms = config.job_timeout_ms;
+  options.batch = config.batch;
+  options.batch.resume = !config.batch.cache_dir.empty();
   if (const char* spec = std::getenv("MMFLOW_TUNE_KNOBS")) {
     options.space = tune::KnobSpace::from_spec(spec, "MMFLOW_TUNE_KNOBS");
   }

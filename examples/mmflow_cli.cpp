@@ -1,20 +1,28 @@
 /// \file mmflow_cli.cpp
 /// Command-line front end for the multi-mode tool flow — the "fully
 /// automated tool flow" of the paper's title as a standalone tool. Takes
-/// the modes as BLIF files and runs the complete pipeline (synthesis,
-/// mapping, combined placement, merging, TPlace, TRoute, parameterized
-/// configuration), printing the reconfiguration comparison and optionally
-/// the parameterized configuration report.
+/// the modes as BLIF files (or a built-in app suite) and runs the complete
+/// pipeline (synthesis, mapping, combined placement, merging, TPlace,
+/// TRoute, parameterized configuration), printing the reconfiguration
+/// comparison and optionally the parameterized configuration report.
+///
+/// Every run is one batch: each input (the BLIF modes, or each --suite
+/// benchmark) is expanded into --seeds jobs, and all jobs go through one
+/// core::BatchDriver. The output is one table with a row per job, then the
+/// detail block of each input's best job (fewest DCS bits).
 ///
 /// Usage:
 ///   mmflow_cli [options] mode0.blif mode1.blif [mode2.blif ...]
+///   mmflow_cli [options] --suite=regexp|fir|mcnc|all
+/// Exit status: 0 when every job succeeded (and, with --verify-modes, every
+/// mode is PROVEN); 1 on a usage error or when a job still fails after
+/// --retries; 2 when a mode is FAILED.
 /// Options:
 ///   --cost=wirelength|edgematch   combined-placement cost engine
 ///   --seed=N                      master seed (default 1)
-///   --seeds=N                     batch mode: run N seed restarts
-///                                 (seed, seed+1, ...) and report per-seed
-///                                 QoR plus the best seed
-///   --jobs=K                      worker threads for --seeds (default 1;
+///   --seeds=N                     run N seed restarts (seed, seed+1, ...)
+///                                 per input (default 1)
+///   --jobs=K                      batch worker threads (default 1;
 ///                                 0 = all hardware threads)
 ///   --inner=F                     annealing effort (default 10)
 ///   --timing-tradeoff=F           timing-driven combined placement weight
@@ -27,38 +35,38 @@
 ///                                 in a fresh process skips the cached work
 ///                                 with bit-identical QoR (docs/CACHING.md).
 ///                                 Defaults to $MMFLOW_CACHE_DIR if set
-///   --resume                      batch mode: consult the run manifest in
-///                                 --cache-dir and recompute only the seeds
-///                                 a previous (killed) sweep never finished;
-///                                 completed seeds replay from the store as
-///                                 disk hits and the final table matches an
+///   --resume                      consult the run manifest in --cache-dir
+///                                 and recompute only the jobs a previous
+///                                 (killed) run never finished; completed
+///                                 jobs replay from the store as disk hits
+///                                 and the final table matches an
 ///                                 uninterrupted run (docs/ROBUSTNESS.md)
-///   --job-timeout-ms=N            batch mode: per-seed wall-clock deadline;
-///                                 an over-deadline seed is reported as
-///                                 timed_out instead of hanging the sweep
-///   --retries=N                   batch mode: re-run failed/timed-out seeds
-///                                 up to N extra times (bit-identical heal)
+///   --job-timeout-ms=N            per-job wall-clock deadline; an
+///                                 over-deadline job is reported as
+///                                 timed_out instead of hanging the run
+///   --retries=N                   re-run failed/timed-out jobs up to N
+///                                 extra times (bit-identical heal)
 ///   --retry-backoff-ms=N          sleep N << (k-1) ms before retry k
 ///   --faults=SPEC                 arm deterministic fault injection (also
 ///                                 via $MMFLOW_FAULTS; --faults wins), e.g.
 ///                                 store.read@2,batch.job~0.1/7 — see
 ///                                 common/faults.h for grammar and sites
 ///   --k=N                         LUT size (default 4)
-///   --report                      dump the parameterized configuration
+///   --report                      dump the parameterized configuration of
+///                                 each input's best job
 ///   --report-full                 ... including static resources
-///   --verify-modes                after the flow, prove each mode of the
-///                                 merged tunable circuit equivalent to its
-///                                 input LUT circuit (SAT miter per output
-///                                 cone, exhaustive simulation below the
-///                                 cutoff) and print a PROVEN/FAILED table
-///                                 plus the verify.* counters; a FAILED
-///                                 verdict makes the exit status nonzero.
-///                                 Spec: docs/VERIFICATION.md
+///   --verify-modes                prove each mode of every job's merged
+///                                 tunable circuit equivalent to its input
+///                                 LUT circuit (SAT miter per output cone,
+///                                 exhaustive simulation below the cutoff)
+///                                 and print a PROVEN/FAILED table plus the
+///                                 verify.* counters. Spec:
+///                                 docs/VERIFICATION.md
 ///   --verify-cutoff=N             support-size cutoff for the exhaustive
 ///                                 simulation fallback (default 8)
 ///   --suite=regexp|fir|mcnc|all   run the named built-in app suite(s)
-///                                 instead of BLIF modes (mainly for the
-///                                 verify-modes CI gate)
+///                                 instead of BLIF modes, one input per
+///                                 benchmark
 ///   --pairs=N                     with --suite: only the first N pairs per
 ///                                 suite (0 = full)
 ///   --tune                        self-tuning flow search (docs/TUNING.md):
@@ -92,7 +100,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -106,7 +113,6 @@
 #include "common/log.h"
 #include "common/perf.h"
 #include "common/strings.h"
-#include "core/artifact_store.h"
 #include "core/batch.h"
 #include "core/flows.h"
 #include "core/manifest.h"
@@ -224,94 +230,91 @@ bool verify_experiment(const core::MultiModeExperiment& experiment,
   return report.all_proven();
 }
 
-/// Suite mode (--suite=NAME): runs the named built-in app suite(s) through
-/// the full flow, one benchmark at a time, sharing RRGs and flow artifacts
-/// across benchmarks. With --verify-modes every benchmark's merged circuit
-/// is proven against its input modes; any FAILED verdict makes the exit
-/// status nonzero. This is the CI equivalence gate's entry point.
-int run_suites(const std::vector<std::string>& suite_names,
-               const core::FlowOptions& options, int k, int limit_pairs,
-               const std::string& cache_dir, bool verify_modes,
-               const verify::VerifyOptions& vopt) {
-  apps::SuiteOptions suite_options;
-  suite_options.seed = options.seed;
-  suite_options.k = k;
-  suite_options.limit_pairs = limit_pairs;
+/// One flow input: the BLIF modes, or one --suite benchmark. The tuner's
+/// benchmark record is exactly this pair, so the CLI reuses it.
+using Input = tune::TuneBenchmark;
 
-  core::FlowCache flow_cache;
-  core::RrgCache rrg_cache;
-  core::FlowContext context;
-  context.cache = &flow_cache;
-  context.rrgs = &rrg_cache;
-  if (!cache_dir.empty()) {
-    flow_cache.attach_store(std::make_shared<core::ArtifactStore>(cache_dir));
+/// Prints the detail block of an input's best job: region, merged
+/// connections, mode-switch cost, quality and per-mode critical path.
+void print_detail(const core::BatchResult& best,
+                  const std::vector<techmap::LutCircuit>& modes,
+                  const core::FlowOptions& options) {
+  const core::MultiModeExperiment& experiment = *best.experiment;
+  const auto metrics = core::reconfig_metrics(experiment, options.encoding);
+  const auto wl = core::wirelength_metrics(experiment);
+  const auto timing = core::timing_report(experiment, modes);
+  std::printf("\nbest job %s:\n", best.name.c_str());
+  std::printf("region: %dx%d logic blocks, channel width %d (min %d)\n",
+              experiment.region.nx, experiment.region.ny,
+              experiment.region.channel_width, experiment.min_width);
+  std::printf("tunable circuit: %zu merged of %zu per-mode connections\n",
+              experiment.merged_connections,
+              experiment.total_mode_connections);
+  std::printf("\nmode-switch cost:\n");
+  std::printf("  MDR  : %llu bits (full region)\n",
+              static_cast<unsigned long long>(metrics.mdr_bits));
+  std::printf("  DCS  : %llu bits -> %.2fx faster reconfiguration\n",
+              static_cast<unsigned long long>(metrics.dcs_bits),
+              metrics.dcs_speedup());
+  std::printf("\nquality:\n");
+  std::printf("  wire length vs MDR    : %.2f (worst mode %.2f)\n",
+              wl.mean_ratio(), wl.max_ratio());
+  std::printf("  critical path vs MDR  : %.2f (worst mode %.2f)\n",
+              timing.mean_ratio(), timing.max_ratio());
+  std::printf("\nper-mode critical path (delay units%s):\n",
+              options.timing_tradeoff > 0.0 ? ", timing-driven DCS" : "");
+  std::printf("  %-4s | %8s | %8s | %6s\n", "mode", "MDR", "DCS", "ratio");
+  std::printf("  -----+----------+----------+-------\n");
+  for (std::size_t m = 0; m < modes.size(); ++m) {
+    std::printf("  %-4zu | %8.2f | %8.2f | %6.2f\n", m,
+                timing.mdr_critical_path[m], timing.dcs_critical_path[m],
+                timing.dcs_critical_path[m] / timing.mdr_critical_path[m]);
   }
-
-  bool all_proven = true;
-  std::size_t benchmarks_run = 0;
-  for (const auto& suite_name : suite_names) {
-    const std::vector<apps::MultiModeBenchmark> benchmarks =
-        apps::suite_by_name(suite_name, suite_options);
-    for (const auto& bench : benchmarks) {
-      const std::string label = suite_name + "/" + bench.name;
-      const auto experiment =
-          core::run_experiment(bench.modes, options, context);
-      const auto metrics =
-          core::reconfig_metrics(experiment, options.encoding);
-      std::printf("%s: W=%d, DCS %llu bits (%.2fx faster reconfiguration)\n",
-                  label.c_str(), experiment.region.channel_width,
-                  static_cast<unsigned long long>(metrics.dcs_bits),
-                  metrics.dcs_speedup());
-      ++benchmarks_run;
-      if (verify_modes) {
-        all_proven =
-            verify_experiment(experiment, bench.modes, vopt, label.c_str()) &&
-            all_proven;
-      }
-    }
-  }
-  std::printf("\n%zu benchmarks run\n", benchmarks_run);
-  if (verify_modes) {
-    print_verify_stats();
-    std::printf("mode equivalence gate: %s\n",
-                all_proven ? "all modes PROVEN" : "FAILED");
-  }
-  print_cache_stats(cache_dir);
-  print_robustness_stats();
-  return all_proven ? 0 : 2;
 }
 
-/// Batch mode (--seeds=N): multi-seed placement restarts through the batch
-/// driver, sharing RRGs and flow artifacts across seeds. Prints one QoR row
-/// per seed and the best seed by DCS reconfiguration cost; --report[-full]
-/// dumps the best seed's parameterized configuration.
-int run_seed_batch(const std::vector<techmap::LutCircuit>& modes,
-                   const core::FlowOptions& options, int num_seeds,
-                   const core::BatchOptions& batch_options, bool report,
-                   bool report_full) {
+/// The one job path: every input is expanded into `seeds` jobs
+/// (core::seed_sweep) and all jobs run in one BatchDriver batch. Prints a
+/// row per job, then each input's best job (fewest DCS bits) in detail,
+/// with its parameterized configuration under --report. --verify-modes
+/// proves every job that finished ok. Returns the exit status: 2 if any
+/// mode is FAILED, else 1 if any job failed, else 0.
+int run_jobs(const std::vector<Input>& inputs,
+             const core::FlowOptions& options, int seeds,
+             const core::BatchOptions& batch_options, bool report,
+             bool report_full, bool verify_modes,
+             const verify::VerifyOptions& vopt) {
+  std::vector<core::BatchJob> jobs;
+  for (const Input& input : inputs) {
+    for (auto& job : core::seed_sweep(input.name, input.modes, options, seeds)) {
+      jobs.push_back(std::move(job));
+    }
+  }
   core::BatchDriver driver(batch_options);
-  const auto batch_jobs = core::seed_sweep(
-      "cli", std::make_shared<const std::vector<techmap::LutCircuit>>(modes),
-      options, num_seeds);
-  const auto results = driver.run(batch_jobs);
+  const auto results = driver.run(jobs);
 
-  std::printf("\n%-6s | %-9s | %-2s | %-5s | %-12s | %-12s | %-12s | %-10s | %s\n",
-              "seed", "status", "rt", "W", "DCS bits", "speed-up",
-              "wires vs MDR", "CP vs MDR", "wall ms");
-  std::printf(
-      "-------+-----------+----+-------+--------------+--------------+"
-      "--------------+------------+--------\n");
-  const core::BatchResult* best = nullptr;
-  core::ReconfigMetrics best_metrics;
+  int name_width = 3;
   for (const auto& result : results) {
+    name_width = std::max(name_width, static_cast<int>(result.name.size()));
+  }
+  std::printf("\n%-*s | %-9s | %-2s | %-5s | %-12s | %-12s | %-12s | %-10s | %s\n",
+              name_width, "job", "status", "rt", "W", "DCS bits", "speed-up",
+              "wires vs MDR", "CP vs MDR", "wall ms");
+  std::printf("%s-+-----------+----+-------+--------------+--------------+"
+              "--------------+------------+--------\n",
+              std::string(static_cast<std::size_t>(name_width), '-').c_str());
+  bool any_failed = false;
+  // Best ok job per input, by DCS reconfiguration cost (first on ties).
+  std::vector<const core::BatchResult*> best(inputs.size(), nullptr);
+  std::vector<std::uint64_t> best_bits(inputs.size(), 0);
+  for (std::size_t j = 0; j < results.size(); ++j) {
+    const core::BatchResult& result = results[j];
+    const std::size_t input = j / static_cast<std::size_t>(seeds);
     if (!result.experiment) {
-      std::printf("%-6llu | %-9s | %2d | %s\n",
-                  static_cast<unsigned long long>(result.seed),
+      any_failed = true;
+      std::printf("%-*s | %-9s | %2d | %s\n", name_width, result.name.c_str(),
                   core::to_string(result.outcome.status),
-                  result.outcome.retries,
-                  result.outcome.error_kind.c_str());
-      std::fprintf(stderr, "seed %llu %s: %s\n",
-                   static_cast<unsigned long long>(result.seed),
+                  result.outcome.retries, result.outcome.error_kind.c_str());
+      std::fprintf(stderr, "job %s %s: %s\n", result.name.c_str(),
                    core::to_string(result.outcome.status),
                    result.error.c_str());
       continue;
@@ -319,52 +322,71 @@ int run_seed_batch(const std::vector<techmap::LutCircuit>& modes,
     const auto metrics =
         core::reconfig_metrics(*result.experiment, options.encoding);
     const auto wl = core::wirelength_metrics(*result.experiment);
-    const auto timing = core::timing_report(*result.experiment, modes);
+    const auto timing =
+        core::timing_report(*result.experiment, *inputs[input].modes);
     std::printf(
-        "%-6llu | %-9s | %2d | %5d | %12llu | %11.2fx | %12.2f | %10.2f | "
+        "%-*s | %-9s | %2d | %5d | %12llu | %11.2fx | %12.2f | %10.2f | "
         "%7.0f\n",
-        static_cast<unsigned long long>(result.seed),
+        name_width, result.name.c_str(),
         core::to_string(result.outcome.status), result.outcome.retries,
         result.experiment->region.channel_width,
         static_cast<unsigned long long>(metrics.dcs_bits),
         metrics.dcs_speedup(), wl.mean_ratio(), timing.mean_ratio(),
         result.wall_ms);
-    if (best == nullptr || metrics.dcs_bits < best_metrics.dcs_bits) {
-      best = &result;
-      best_metrics = metrics;
+    if (best[input] == nullptr || metrics.dcs_bits < best_bits[input]) {
+      best[input] = &result;
+      best_bits[input] = metrics.dcs_bits;
     }
   }
-  if (best == nullptr) {
-    std::fprintf(stderr, "error: every seed failed\n");
-    return 1;
+
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    if (best[i] == nullptr) continue;
+    print_detail(*best[i], *inputs[i].modes, options);
+    if (report && best[i]->experiment->tunable.has_value()) {
+      tunable::ReportOptions ropt;
+      ropt.parameterized_only = !report_full;
+      ropt.limit = report_full ? 0 : 32;
+      std::printf("\nparameterized configuration of %s:\n%s\n",
+                  best[i]->name.c_str(),
+                  tunable::describe(*best[i]->experiment->tunable, ropt)
+                      .c_str());
+    }
   }
-  std::printf("\nbest seed %llu: %llu DCS bits, %.2fx faster reconfiguration\n",
-              static_cast<unsigned long long>(best->seed),
-              static_cast<unsigned long long>(best_metrics.dcs_bits),
-              best_metrics.dcs_speedup());
-  std::printf("shared RRGs built once per width: %zu; flow-cache entries: %zu\n",
-              driver.rrgs().size(), driver.cache().size());
+
+  bool all_proven = true;
+  if (verify_modes) {
+    for (std::size_t j = 0; j < results.size(); ++j) {
+      if (!results[j].experiment) continue;
+      all_proven =
+          verify_experiment(*results[j].experiment,
+                            *inputs[j / static_cast<std::size_t>(seeds)].modes,
+                            vopt, results[j].name.c_str()) &&
+          all_proven;
+    }
+  }
+
+  std::printf("\n%zu jobs run; shared RRGs built once per width: %zu; "
+              "flow-cache entries: %zu\n",
+              results.size(), driver.rrgs().size(), driver.cache().size());
   if (batch_options.resume) {
     std::size_t skipped = 0;
     for (const auto& result : results) {
       if (result.outcome.manifest_skip) ++skipped;
     }
-    std::printf("resume: %zu of %zu seeds already in run manifest (%s)\n",
+    std::printf("resume: %zu of %zu jobs already in run manifest (%s)\n",
                 skipped, results.size(),
                 core::RunManifest::default_path(batch_options.cache_dir)
                     .c_str());
   }
+  if (verify_modes) {
+    print_verify_stats();
+    std::printf("mode equivalence gate: %s\n",
+                all_proven ? "all modes PROVEN" : "FAILED");
+  }
   print_cache_stats(batch_options.cache_dir);
   print_robustness_stats();
-  if (report && best->experiment->tunable.has_value()) {
-    tunable::ReportOptions ropt;
-    ropt.parameterized_only = !report_full;
-    ropt.limit = report_full ? 0 : 32;
-    std::printf("\nparameterized configuration of best seed %llu:\n%s\n",
-                static_cast<unsigned long long>(best->seed),
-                tunable::describe(*best->experiment->tunable, ropt).c_str());
-  }
-  return 0;
+  if (!all_proven) return 2;
+  return any_failed ? 1 : 0;
 }
 
 /// Writes the tune report as bench-style JSON ({"bench", "rows", "perf"},
@@ -452,7 +474,7 @@ int run_tune(const std::vector<tune::TuneBenchmark>& benchmarks,
               "front):\n%s",
               result.front.size(),
               tune::format_front_table(result).c_str());
-  print_cache_stats(tune_options.cache_dir);
+  print_cache_stats(tune_options.batch.cache_dir);
   print_robustness_stats();
   if (!json_path.empty()) {
     if (!write_tune_json(json_path, result)) {
@@ -478,13 +500,8 @@ int main(int argc, char** argv) {
   options.anneal.inner_num = 10.0;
   int k = 4;
   int seeds = 1;
-  int jobs = 1;
-  std::string cache_dir;
-  if (const char* dir = std::getenv("MMFLOW_CACHE_DIR")) cache_dir = dir;
-  int job_timeout_ms = 0;
-  int retries = 0;
-  int retry_backoff_ms = 0;
-  bool resume = false;
+  core::BatchOptions batch;
+  if (const char* dir = std::getenv("MMFLOW_CACHE_DIR")) batch.cache_dir = dir;
   std::string fault_spec;  // --faults; overrides $MMFLOW_FAULTS
   bool report = false;
   bool report_full = false;
@@ -519,8 +536,8 @@ int main(int argc, char** argv) {
           return 1;
         }
       } else if (arg.rfind("--jobs=", 0) == 0) {
-        jobs = parse_int(arg.substr(7), "--jobs");
-        if (jobs < 0) {
+        batch.jobs = parse_int(arg.substr(7), "--jobs");
+        if (batch.jobs < 0) {
           std::fprintf(stderr, "error: --jobs must be >= 0\n");
           return 1;
         }
@@ -534,24 +551,25 @@ int main(int argc, char** argv) {
           return 1;
         }
       } else if (arg.rfind("--cache-dir=", 0) == 0) {
-        cache_dir = arg.substr(12);
+        batch.cache_dir = arg.substr(12);
       } else if (arg == "--resume") {
-        resume = true;
+        batch.resume = true;
       } else if (arg.rfind("--job-timeout-ms=", 0) == 0) {
-        job_timeout_ms = parse_int(arg.substr(17), "--job-timeout-ms");
-        if (job_timeout_ms < 0) {
+        batch.job_timeout_ms = parse_int(arg.substr(17), "--job-timeout-ms");
+        if (batch.job_timeout_ms < 0) {
           std::fprintf(stderr, "error: --job-timeout-ms must be >= 0\n");
           return 1;
         }
       } else if (arg.rfind("--retries=", 0) == 0) {
-        retries = parse_int(arg.substr(10), "--retries");
-        if (retries < 0) {
+        batch.max_retries = parse_int(arg.substr(10), "--retries");
+        if (batch.max_retries < 0) {
           std::fprintf(stderr, "error: --retries must be >= 0\n");
           return 1;
         }
       } else if (arg.rfind("--retry-backoff-ms=", 0) == 0) {
-        retry_backoff_ms = parse_int(arg.substr(19), "--retry-backoff-ms");
-        if (retry_backoff_ms < 0) {
+        batch.retry_backoff_ms =
+            parse_int(arg.substr(19), "--retry-backoff-ms");
+        if (batch.retry_backoff_ms < 0) {
           std::fprintf(stderr, "error: --retry-backoff-ms must be >= 0\n");
           return 1;
         }
@@ -620,20 +638,7 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 1;
   }
-  if (!suite.empty()) {
-    if (!paths.empty()) {
-      std::fprintf(stderr, "error: --suite does not take BLIF paths\n");
-      return 1;
-    }
-    // --tune drives the suite through the batch driver itself, so the
-    // batch fault-tolerance flags are meaningful there.
-    if (!tune_mode && (seeds > 1 || resume || job_timeout_ms > 0 || retries > 0)) {
-      std::fprintf(stderr,
-                   "error: --suite is incompatible with the batch flags "
-                   "(--seeds/--resume/--job-timeout-ms/--retries)\n");
-      return 1;
-    }
-  } else if (paths.size() < 2) {
+  if (!suite.empty() ? !paths.empty() : paths.size() < 2) {
     usage(argv[0]);
     return 1;
   }
@@ -643,14 +648,7 @@ int main(int argc, char** argv) {
                  "--verify-modes/--seeds/--report\n");
     return 1;
   }
-  if (verify_modes &&
-      (seeds > 1 || resume || job_timeout_ms > 0 || retries > 0)) {
-    std::fprintf(stderr,
-                 "error: --verify-modes is a single-run gate; it cannot be "
-                 "combined with the batch flags\n");
-    return 1;
-  }
-  if (resume && cache_dir.empty()) {
+  if (batch.resume && batch.cache_dir.empty()) {
     std::fprintf(stderr,
                  "error: --resume needs a run manifest; pass --cache-dir "
                  "(or set MMFLOW_CACHE_DIR)\n");
@@ -671,131 +669,43 @@ int main(int argc, char** argv) {
   }
 
   try {
+    std::vector<Input> inputs;
+    if (!suite.empty()) {
+      apps::SuiteOptions suite_options;
+      suite_options.seed = options.seed;
+      suite_options.k = k;
+      suite_options.limit_pairs = limit_pairs;
+      const std::vector<std::string> suite_names =
+          suite == "all" ? std::vector<std::string>{"regexp", "fir", "mcnc"}
+                         : std::vector<std::string>{suite};
+      for (const auto& suite_name : suite_names) {
+        for (auto& bench : apps::suite_by_name(suite_name, suite_options)) {
+          inputs.push_back(Input{
+              suite_name + "/" + bench.name,
+              std::make_shared<const std::vector<techmap::LutCircuit>>(
+                  std::move(bench.modes))});
+        }
+      }
+    } else {
+      // Front end: BLIF -> synthesis -> mapping, per mode.
+      auto modes = apps::mcnc::load_blif_modes(paths, k);
+      for (std::size_t m = 0; m < modes.size(); ++m) {
+        std::printf("mode %zu (%s): %zu LUTs, %zu FFs, %zu PIs, %zu POs\n", m,
+                    paths[m].c_str(), modes[m].num_blocks(), modes[m].num_ffs(),
+                    modes[m].num_pis(), modes[m].num_pos());
+      }
+      inputs.push_back(Input{
+          "blif", std::make_shared<const std::vector<techmap::LutCircuit>>(
+                      std::move(modes))});
+    }
+
     if (tune_mode) {
       tune_options.base = options;
-      tune_options.cache_dir = cache_dir;
-      tune_options.resume = resume;
-      tune_options.jobs = jobs;
-      tune_options.max_retries = retries;
-      tune_options.retry_backoff_ms = retry_backoff_ms;
-      tune_options.job_timeout_ms = job_timeout_ms;
-
-      std::vector<tune::TuneBenchmark> benchmarks;
-      if (!suite.empty()) {
-        apps::SuiteOptions suite_options;
-        suite_options.seed = options.seed;
-        suite_options.k = k;
-        suite_options.limit_pairs = limit_pairs;
-        const std::vector<std::string> suite_names =
-            suite == "all" ? std::vector<std::string>{"regexp", "fir", "mcnc"}
-                           : std::vector<std::string>{suite};
-        for (const auto& suite_name : suite_names) {
-          for (auto& bench : apps::suite_by_name(suite_name, suite_options)) {
-            benchmarks.push_back(tune::TuneBenchmark{
-                suite_name + "/" + bench.name,
-                std::make_shared<const std::vector<techmap::LutCircuit>>(
-                    std::move(bench.modes))});
-          }
-        }
-      } else {
-        benchmarks.push_back(tune::TuneBenchmark{
-            "blif",
-            std::make_shared<const std::vector<techmap::LutCircuit>>(
-                apps::mcnc::load_blif_modes(paths, k))});
-      }
-      return run_tune(benchmarks, tune_options, tune_json);
+      tune_options.batch = batch;
+      return run_tune(inputs, tune_options, tune_json);
     }
-
-    if (!suite.empty()) {
-      std::vector<std::string> suite_names;
-      if (suite == "all") {
-        suite_names = {"regexp", "fir", "mcnc"};
-      } else {
-        suite_names = {suite};
-      }
-      return run_suites(suite_names, options, k, limit_pairs, cache_dir,
-                        verify_modes, verify_options);
-    }
-
-    // Front end: BLIF -> synthesis -> mapping, per mode.
-    auto modes = apps::mcnc::load_blif_modes(paths, k);
-    for (std::size_t m = 0; m < modes.size(); ++m) {
-      std::printf("mode %zu (%s): %zu LUTs, %zu FFs, %zu PIs, %zu POs\n", m,
-                  paths[m].c_str(), modes[m].num_blocks(), modes[m].num_ffs(),
-                  modes[m].num_pis(), modes[m].num_pos());
-    }
-
-    if (seeds > 1 || resume || job_timeout_ms > 0 || retries > 0) {
-      core::BatchOptions batch_options;
-      batch_options.jobs = jobs;
-      batch_options.cache_dir = cache_dir;
-      batch_options.job_timeout_ms = job_timeout_ms;
-      batch_options.max_retries = retries;
-      batch_options.retry_backoff_ms = retry_backoff_ms;
-      batch_options.resume = resume;
-      return run_seed_batch(modes, options, seeds, batch_options, report,
-                            report_full);
-    }
-
-    // Single-run mode: with a cache dir, route the run through a (local)
-    // flow cache backed by the persistent store so repeated invocations
-    // skip the cached work.
-    core::FlowCache flow_cache;
-    core::RrgCache rrg_cache;
-    core::FlowContext context;
-    if (!cache_dir.empty()) {
-      flow_cache.attach_store(std::make_shared<core::ArtifactStore>(cache_dir));
-      context.cache = &flow_cache;
-      context.rrgs = &rrg_cache;
-    }
-    const auto experiment = core::run_experiment(modes, options, context);
-    const auto metrics =
-        core::reconfig_metrics(experiment, options.encoding);
-    const auto wl = core::wirelength_metrics(experiment);
-    const auto timing = core::timing_report(experiment, modes);
-
-    std::printf("\nregion: %dx%d logic blocks, channel width %d (min %d)\n",
-                experiment.region.nx, experiment.region.ny,
-                experiment.region.channel_width, experiment.min_width);
-    std::printf("tunable circuit: %zu merged of %zu per-mode connections\n",
-                experiment.merged_connections,
-                experiment.total_mode_connections);
-    std::printf("\nmode-switch cost:\n");
-    std::printf("  MDR  : %llu bits (full region)\n",
-                static_cast<unsigned long long>(metrics.mdr_bits));
-    std::printf("  DCS  : %llu bits -> %.2fx faster reconfiguration\n",
-                static_cast<unsigned long long>(metrics.dcs_bits),
-                metrics.dcs_speedup());
-    std::printf("\nquality:\n");
-    std::printf("  wire length vs MDR    : %.2f (worst mode %.2f)\n",
-                wl.mean_ratio(), wl.max_ratio());
-    std::printf("  critical path vs MDR  : %.2f (worst mode %.2f)\n",
-                timing.mean_ratio(), timing.max_ratio());
-    std::printf("\nper-mode critical path (delay units%s):\n",
-                options.timing_tradeoff > 0.0 ? ", timing-driven DCS" : "");
-    std::printf("  %-4s | %8s | %8s | %6s\n", "mode", "MDR", "DCS", "ratio");
-    std::printf("  -----+----------+----------+-------\n");
-    for (std::size_t m = 0; m < modes.size(); ++m) {
-      std::printf("  %-4zu | %8.2f | %8.2f | %6.2f\n", m,
-                  timing.mdr_critical_path[m], timing.dcs_critical_path[m],
-                  timing.dcs_critical_path[m] / timing.mdr_critical_path[m]);
-    }
-
-    if (report && experiment.tunable.has_value()) {
-      tunable::ReportOptions ropt;
-      ropt.parameterized_only = !report_full;
-      ropt.limit = report_full ? 0 : 32;
-      std::printf("\n%s\n", tunable::describe(*experiment.tunable, ropt).c_str());
-    }
-    bool all_proven = true;
-    if (verify_modes) {
-      all_proven =
-          verify_experiment(experiment, modes, verify_options, "this run");
-      print_verify_stats();
-    }
-    print_cache_stats(cache_dir);
-    print_robustness_stats();
-    return all_proven ? 0 : 2;
+    return run_jobs(inputs, options, seeds, batch, report, report_full,
+                    verify_modes, verify_options);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -32,7 +32,7 @@
 ///    publish nothing: observing `route.calls == N` does not make any other
 ///    memory written by those calls visible, so counters must never be used
 ///    for synchronization or as a proxy for "that work's results are ready".
-///    All real synchronization happens elsewhere (WorkerPool's mutex/CV
+///    All real synchronization happens elsewhere (BatchDriver's thread
 ///    join, docs/ARCHITECTURE.md thread-safety table).
 ///  * **No snapshot consistency.** A reader running concurrently with
 ///    writers sees each counter at some point in its own history — not a

@@ -1,13 +1,13 @@
 #include "core/batch.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <exception>
 #include <thread>
 
 #include "common/check.h"
 #include "common/faults.h"
-#include "common/parallel.h"
 #include "common/perf.h"
 #include "core/artifact_store.h"
 #include "core/manifest.h"
@@ -40,6 +40,13 @@ const char* classify_error(const std::exception& e) {
   }
   if (dynamic_cast<const InternalError*>(&e) != nullptr) return "internal";
   return "runtime";
+}
+
+/// Worker threads for a `BatchOptions::jobs` value: values >= 1 pass
+/// through, 0 (or negative) means one per hardware thread, at least 1.
+std::size_t resolve_jobs(int jobs) {
+  if (jobs >= 1) return static_cast<std::size_t>(jobs);
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 }  // namespace
@@ -114,13 +121,8 @@ BatchDriver::BatchDriver(const BatchOptions& options) : options_(options) {
 FlowContext BatchDriver::context() {
   FlowContext ctx;
   if (options_.use_cache) ctx.cache = &cache_;
-  if (options_.share_rrg) ctx.rrgs = &rrgs_;
+  ctx.rrgs = &rrgs_;
   return ctx;
-}
-
-void BatchDriver::clear_caches() {
-  cache_.clear();
-  rrgs_.clear();
 }
 
 std::vector<BatchResult> BatchDriver::run(const std::vector<BatchJob>& jobs) {
@@ -131,10 +133,9 @@ std::vector<BatchResult> BatchDriver::run(const std::vector<BatchJob>& jobs) {
   if (jobs.empty()) return results;
 
   const FlowContext ctx = context();
-  // Workers pull job indices from an atomic cursor (in submission order) and
-  // write into their own result slot — the deterministic merge: the output
-  // order and every result bit are independent of thread scheduling.
-  auto worker = [&](std::size_t index) {
+  // Runs one job into its own result slot. Captures every exception, so
+  // nothing ever propagates out of a worker thread.
+  auto run_job = [&](std::size_t index) {
     const BatchJob& job = jobs[index];
     BatchResult& out = results[index];
     out.name = job.name;
@@ -145,20 +146,21 @@ std::vector<BatchResult> BatchDriver::run(const std::vector<BatchJob>& jobs) {
     // The whole-experiment key is how the run manifest addresses this job;
     // only needed when a manifest exists (i.e. a cache_dir was set).
     std::optional<FlowKey> key;
-    if (manifest_ != nullptr && job.modes != nullptr) {
-      key = experiment_key(*job.modes, job.options);
-      if (options_.resume && manifest_->contains(*key)) {
-        // A previous run completed this job: its result replays from the
-        // artifact store below (a disk hit), never a recompute.
-        out.outcome.manifest_skip = true;
-        MMFLOW_PERF_ADD("batch.manifest_skips", 1);
-      }
-    }
-
     for (int attempt = 0;; ++attempt) {
       try {
         MMFLOW_REQUIRE_MSG(job.modes != nullptr,
                            "batch job '" << job.name << "' has no modes");
+        // Inside the try: invalid flow inputs throw here as they would in
+        // the flow itself, and land in this job's slot.
+        if (manifest_ != nullptr && !key.has_value()) {
+          key = experiment_key(*job.modes, job.options);
+          if (options_.resume && manifest_->contains(*key)) {
+            // A previous run completed this job: its result replays from
+            // the artifact store below (a disk hit), never a recompute.
+            out.outcome.manifest_skip = true;
+            MMFLOW_PERF_ADD("batch.manifest_skips", 1);
+          }
+        }
         // Per-attempt deadline token, chained to the batch-wide cancel: one
         // cancel() stops every job; a deadline trips only this attempt.
         CancelToken token(options_.cancel);
@@ -211,18 +213,22 @@ std::vector<BatchResult> BatchDriver::run(const std::vector<BatchJob>& jobs) {
                       .count();
   };
 
-  const int workers = std::min<int>(parallel::resolve_jobs(options_.jobs),
-                                    static_cast<int>(jobs.size()));
-  if (workers == 1) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) worker(i);
-    return results;
+  // Workers pull job indices from one atomic cursor, in submission order,
+  // and write only their own result slot — the deterministic merge: the
+  // output order and every result bit are independent of scheduling.
+  std::atomic<std::size_t> cursor{0};
+  const auto drain = [&] {
+    for (std::size_t i = cursor++; i < jobs.size(); i = cursor++) run_job(i);
+  };
+  {
+    // jthreads join on destruction, so if starting a later thread throws,
+    // the ones already started are still joined during the unwind.
+    const std::size_t workers =
+        std::min(resolve_jobs(options_.jobs), jobs.size());
+    std::vector<std::jthread> threads;
+    threads.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(drain);
   }
-
-  // The shared ordered work-queue (common/parallel.h): indices are handed
-  // out in submission order, results land by index — the deterministic
-  // merge. `worker` captures all exceptions itself, so nothing propagates.
-  parallel::WorkerPool pool(workers);
-  pool.run(jobs.size(), [&](std::size_t index, int) { worker(index); });
   return results;
 }
 

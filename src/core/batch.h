@@ -9,13 +9,13 @@
 ///
 /// ## Execution model
 ///
-/// A `BatchDriver` owns one `FlowCache` + one `RrgCache` and a deterministic
-/// work-queue. `run()` takes an ordered list of `BatchJob`s, executes them
-/// on `BatchOptions::jobs` worker threads (a `parallel::WorkerPool`, the
-/// shared ordered work-queue of src/common/parallel.h: an atomic cursor
-/// hands out job indices in order) and collects results *by job index*, so
-/// the returned vector is always in submission order regardless of which
-/// worker finished first — the "deterministic merge". This is the only
+/// A `BatchDriver` owns one `FlowCache` + one `RrgCache`. `run()` takes an
+/// ordered list of `BatchJob`s and starts `BatchOptions::jobs` plain
+/// `std::thread` workers (never more than there are jobs) that pull job
+/// indices from one atomic cursor in submission order; each job writes only
+/// its own result slot, so the returned vector is always in submission
+/// order regardless of which worker finished first — the "deterministic
+/// merge". `run()` joins every worker before it returns. This is the only
 /// level of parallelism in the flow: each job routes single-threaded.
 ///
 /// ## Determinism contract
@@ -50,7 +50,7 @@
 ///
 /// The driver owns its caches; results reference cache entries via
 /// `shared_ptr<const MultiModeExperiment>` and stay valid after the driver
-/// (or `clear_caches()`) discards them. Jobs share their input circuits via
+/// is destroyed. Jobs share their input circuits via
 /// `shared_ptr<const vector<LutCircuit>>` — a 64-seed sweep holds one copy
 /// of the netlists. `run()` may be called repeatedly (later batches reuse
 /// the warm caches); concurrent `run()` calls on one driver are not
@@ -78,9 +78,8 @@ struct BatchJob {
 
 struct BatchOptions {
   /// Worker threads; 0 = one per hardware thread (capped by the job count).
+  /// Jobs always share one immutable RoutingGraph per (arch, width).
   int jobs = 1;
-  /// Share one immutable RoutingGraph per (arch, width) across all jobs.
-  bool share_rrg = true;
   /// Memoize flow artifacts across jobs (see core/flows.h for granularity).
   bool use_cache = true;
   /// Non-empty: persist the flow cache across processes by attaching a
@@ -202,14 +201,6 @@ class BatchDriver {
   /// are themselves thread-safe; the references live as long as the driver.
   [[nodiscard]] FlowCache& cache() { return cache_; }
   [[nodiscard]] RrgCache& rrgs() { return rrgs_; }
-  /// The options the driver was built with. Const; thread-safe.
-  [[nodiscard]] const BatchOptions& options() const { return options_; }
-
-  /// Drops all cached artifacts (outstanding results stay valid). Memory
-  /// only: an on-disk store attached via `BatchOptions::cache_dir` keeps
-  /// its entries — later lookups read them back. Do not call while a batch
-  /// is running.
-  void clear_caches();
 
   /// The run manifest (null unless `cache_dir` was set). Exposed for
   /// reporting — e.g. the CLI's resume summary.

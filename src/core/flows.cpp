@@ -635,9 +635,17 @@ MultiModeExperiment compute_experiment(
 }
 
 /// Region sizing: the square logic array fits the largest mode with the
-/// paper's area head-room. Cheap enough to recompute per call.
+/// paper's area head-room. Cheap enough to recompute per call. Every flow
+/// entry (`run_experiment*`, `experiment_key`) passes through here first,
+/// so this is also where the flow inputs are validated.
 ArchSpec base_region(const std::vector<techmap::LutCircuit>& modes,
                      const FlowOptions& options) {
+  MMFLOW_REQUIRE(!modes.empty() && modes.size() <= 32);
+  // The annealer would clamp a non-positive effort to one move per
+  // temperature and silently return an unannealed placement.
+  MMFLOW_REQUIRE_MSG(options.anneal.inner_num > 0.0,
+                     "annealing effort inner_num must be > 0, got "
+                         << options.anneal.inner_num);
   int max_clbs = 0;
   int max_ios = 0;
   for (const auto& mode : modes) {
@@ -671,14 +679,12 @@ FlowKey experiment_key_for(const ArchSpec& base,
 
 FlowKey experiment_key(const std::vector<techmap::LutCircuit>& modes,
                        const FlowOptions& options) {
-  MMFLOW_REQUIRE(!modes.empty() && modes.size() <= 32);
   return experiment_key_for(base_region(modes, options), modes, options);
 }
 
 std::shared_ptr<const MultiModeExperiment> run_experiment_shared(
     const std::vector<techmap::LutCircuit>& modes, const FlowOptions& options,
     const FlowContext& context) {
-  MMFLOW_REQUIRE(!modes.empty() && modes.size() <= 32);
   const ArchSpec base = base_region(modes, options);
 
   // `base_key` identifies the engine-independent MDR artifacts; `exp_key`
@@ -716,7 +722,6 @@ MultiModeExperiment run_experiment(const std::vector<techmap::LutCircuit>& modes
   if (context.cache == nullptr) {
     // No whole-experiment cache to feed: skip the shared wrapper and its
     // copy-out so the plain path costs exactly what it did uncached.
-    MMFLOW_REQUIRE(!modes.empty() && modes.size() <= 32);
     return compute_experiment(modes, options, context,
                               base_region(modes, options), FlowKey{});
   }

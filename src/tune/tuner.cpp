@@ -185,8 +185,9 @@ TuneResult tune(const std::vector<TuneBenchmark>& benchmarks,
   }
   MMFLOW_REQUIRE_MSG(options.budget >= 1,
                      "tune: budget " << options.budget << " < 1");
-  MMFLOW_REQUIRE_MSG(!options.resume || !options.cache_dir.empty(),
-                     "tune: resume requires cache_dir");
+  MMFLOW_REQUIRE_MSG(
+      !options.batch.resume || !options.batch.cache_dir.empty(),
+      "tune: resume requires cache_dir");
 
   TuneResult result;
   const ObjectiveSet objectives =
@@ -205,25 +206,18 @@ TuneResult tune(const std::vector<TuneBenchmark>& benchmarks,
   const KnobSampler sampler(space.size(), options.seed);
 
   std::unique_ptr<TrialLedger> ledger;
-  if (!options.cache_dir.empty()) {
+  if (!options.batch.cache_dir.empty()) {
     const std::uint64_t config_hash = tune_config_hash(options, benchmarks);
     ledger = std::make_unique<TrialLedger>(
-        TrialLedger::default_path(options.cache_dir), config_hash);
-    if (!options.resume && ledger->size() != 0) {
+        TrialLedger::default_path(options.batch.cache_dir), config_hash);
+    if (!options.batch.resume && ledger->size() != 0) {
       MMFLOW_INFO("tune: ledger holds " << ledger->size()
                                         << " record(s); pass resume to replay "
                                         << "them instead of recomputing");
     }
   }
 
-  core::BatchOptions batch_options;
-  batch_options.jobs = options.jobs;
-  batch_options.cache_dir = options.cache_dir;
-  batch_options.resume = options.resume;
-  batch_options.max_retries = options.max_retries;
-  batch_options.retry_backoff_ms = options.retry_backoff_ms;
-  batch_options.job_timeout_ms = options.job_timeout_ms;
-  core::BatchDriver driver(batch_options);
+  core::BatchDriver driver(options.batch);
 
   /// The concrete (unscaled) knob values of a trial; the baseline reports
   /// its own current values.
@@ -270,7 +264,7 @@ TuneResult tune(const std::vector<TuneBenchmark>& benchmarks,
       trial.rung = rung;
       trial.knob_values = trial_values(evaluating[i]);
       const TrialRecord* record =
-          (ledger != nullptr && options.resume)
+          (ledger != nullptr && options.batch.resume)
               ? ledger->find(evaluating[i], rung)
               : nullptr;
       if (record != nullptr) {

@@ -83,17 +83,11 @@ struct TuneOptions {
   ObjectiveSet objectives;  ///< empty names = defaults()
   KnobSpace space;          ///< empty = KnobSpace::defaults()
   core::FlowOptions base;   ///< baseline flow options (also the flow seed)
-  /// Non-empty: persist flow artifacts (core::ArtifactStore) and the trial
-  /// ledger (ledger.h) under this directory.
-  std::string cache_dir;
-  /// Replay completed trials from the ledger and completed flows from the
-  /// run manifest instead of recomputing (requires cache_dir).
-  bool resume = false;
-  int jobs = 1;  ///< batch worker threads (0 = hardware concurrency)
-  // Fault-tolerance pass-through (core::BatchOptions semantics).
-  int max_retries = 0;
-  int retry_backoff_ms = 0;
-  int job_timeout_ms = 0;
+  /// How every trial batch runs; passed straight to the core::BatchDriver.
+  /// A non-empty `batch.cache_dir` also holds the trial ledger (ledger.h),
+  /// and `batch.resume` replays completed trials from it (requires
+  /// `batch.cache_dir`). None of these fields shapes the schedule.
+  core::BatchOptions batch;
   /// Testing hook: return (as if killed) after this rung completes and is
   /// ledgered; -1 = run to completion. The resume determinism test stops
   /// after rung 0, then resumes in a fresh tuner and asserts bit-identity.

@@ -144,22 +144,25 @@ TEST(Batch, MultiSeedBatchMatchesSequentialBitForBit) {
     reference.push_back(run_experiment(modes, options));
   }
 
-  // Parallel batch with shared RRG + flow cache.
-  BatchOptions batch_options;
-  batch_options.jobs = kSeeds;
-  BatchDriver driver(batch_options);
-  const auto results = driver.run(seed_sweep(
-      "c", std::make_shared<const std::vector<techmap::LutCircuit>>(modes),
-      base, kSeeds));
+  // Parallel batch with shared RRG + flow cache, at an explicit worker count
+  // and at jobs = 0 (one worker per hardware thread).
+  for (const int jobs : {kSeeds, 0}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    BatchOptions batch_options;
+    batch_options.jobs = jobs;
+    BatchDriver driver(batch_options);
+    const auto results = driver.run(seed_sweep(
+        "c", std::make_shared<const std::vector<techmap::LutCircuit>>(modes),
+        base, kSeeds));
 
-  ASSERT_EQ(results.size(), static_cast<std::size_t>(kSeeds));
-  for (int s = 0; s < kSeeds; ++s) {
-    ASSERT_TRUE(results[static_cast<std::size_t>(s)].experiment != nullptr)
-        << results[static_cast<std::size_t>(s)].error;
-    EXPECT_EQ(results[static_cast<std::size_t>(s)].seed,
-              base.seed + static_cast<std::uint64_t>(s));
-    expect_same_experiment(reference[static_cast<std::size_t>(s)],
-                           *results[static_cast<std::size_t>(s)].experiment);
+    ASSERT_EQ(results.size(), static_cast<std::size_t>(kSeeds));
+    for (int s = 0; s < kSeeds; ++s) {
+      const BatchResult& result = results[static_cast<std::size_t>(s)];
+      ASSERT_TRUE(result.experiment != nullptr) << result.error;
+      EXPECT_EQ(result.seed, base.seed + static_cast<std::uint64_t>(s));
+      expect_same_experiment(reference[static_cast<std::size_t>(s)],
+                             *result.experiment);
+    }
   }
 }
 

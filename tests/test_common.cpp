@@ -1,12 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
-#include <stdexcept>
 #include <vector>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/strings.h"
@@ -222,43 +219,6 @@ TEST(Check, ThrowsExpectedTypes) {
   EXPECT_THROW(MMFLOW_CHECK(false), InternalError);
   EXPECT_THROW(MMFLOW_REQUIRE(false), PreconditionError);
   EXPECT_NO_THROW(MMFLOW_CHECK(true));
-}
-
-TEST(WorkerPool, ExecutesEveryItemWithValidWorkerIds) {
-  parallel::WorkerPool pool(3);
-  EXPECT_EQ(pool.size(), 3);
-  std::vector<std::atomic<int>> hits(100);
-  pool.run(hits.size(), [&](std::size_t item, int worker) {
-    ASSERT_GE(worker, 0);
-    ASSERT_LT(worker, 3);
-    hits[item].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-
-  // Pools are reusable across batches.
-  std::atomic<int> total{0};
-  pool.run(7, [&](std::size_t, int) { total.fetch_add(1); });
-  EXPECT_EQ(total.load(), 7);
-}
-
-TEST(WorkerPool, PropagatesTheFirstException) {
-  parallel::WorkerPool pool(2);
-  EXPECT_THROW(
-      pool.run(50,
-               [&](std::size_t item, int) {
-                 if (item == 10) throw std::runtime_error("boom");
-               }),
-      std::runtime_error);
-  // The pool survives a throwing batch.
-  std::atomic<int> total{0};
-  pool.run(5, [&](std::size_t, int) { total.fetch_add(1); });
-  EXPECT_EQ(total.load(), 5);
-}
-
-TEST(WorkerPool, ResolveJobsConvention) {
-  EXPECT_EQ(parallel::resolve_jobs(1), 1);
-  EXPECT_EQ(parallel::resolve_jobs(7), 7);
-  EXPECT_GE(parallel::resolve_jobs(0), 1);  // 0 = all hardware threads
 }
 
 }  // namespace

@@ -1,4 +1,8 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 
 #include "aig/bridge.h"
 #include "apps/fir/fir.h"
@@ -6,6 +10,7 @@
 #include "apps/regexp/regex.h"
 #include "arch/rrg.h"
 #include "common/perf.h"
+#include "core/batch.h"
 #include "route/router.h"
 #include "core/combined_place.h"
 #include "helpers.h"
@@ -242,6 +247,41 @@ TEST(EdgeCases, CombinedPlaceSingleModeEdgeMatch) {
   EXPECT_GT(probes, 0u);
   EXPECT_EQ(perf::counter_value("combined_place.pair_updates") - updates_before,
             probes);
+}
+
+// ----------------------------------------------------------- flow entries
+
+TEST(EdgeCases, NonPositiveAnnealEffortIsRejected) {
+  // The annealer would clamp these to one move per temperature and return
+  // an unannealed placement; the flow entry rejects them instead. A driver
+  // with a cache dir also keys its run manifest with them, and that must
+  // fail inside the job too, not on the worker thread.
+  const auto modes =
+      std::make_shared<const std::vector<techmap::LutCircuit>>(
+          std::vector<techmap::LutCircuit>{solo_mode(), solo_mode()});
+  const std::filesystem::path cache_dir =
+      std::filesystem::temp_directory_path() /
+      ("mmflow_edge_inner_" + std::to_string(::getpid()));
+  for (const double inner : {0.0, -1.0}) {
+    SCOPED_TRACE("inner_num=" + std::to_string(inner));
+    core::FlowOptions options;
+    options.anneal.inner_num = inner;
+    EXPECT_THROW((void)core::run_experiment(*modes, options),
+                 PreconditionError);
+
+    for (const std::string& dir : {std::string(), cache_dir.string()}) {
+      core::BatchOptions batch_options;
+      batch_options.cache_dir = dir;
+      core::BatchDriver driver(batch_options);
+      const auto results =
+          driver.run({core::BatchJob{"solo", modes, options}});
+      ASSERT_EQ(results.size(), 1u);
+      EXPECT_EQ(results[0].experiment, nullptr);
+      EXPECT_EQ(results[0].outcome.status, core::JobStatus::Failed);
+      EXPECT_EQ(results[0].outcome.error_kind, "precondition");
+    }
+  }
+  std::filesystem::remove_all(cache_dir);
 }
 
 }  // namespace

@@ -1,14 +1,13 @@
 /// Fault-tolerance tests (docs/ROBUSTNESS.md): the deterministic fault
 /// registry itself, cooperative cancellation/timeouts, retry healing to
 /// bit-identical QoR, artifact-store degradation under injected I/O faults,
-/// resumable sweeps via the run manifest, WorkerPool failure aggregation,
-/// and BLIF front-end robustness against corrupted input.
+/// resumable sweeps via the run manifest, and BLIF front-end robustness
+/// against corrupted input.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -21,7 +20,6 @@
 #include "common/cancel.h"
 #include "common/check.h"
 #include "common/faults.h"
-#include "common/parallel.h"
 #include "common/perf.h"
 #include "common/rng.h"
 #include "core/artifact_store.h"
@@ -519,44 +517,6 @@ TEST(Manifest, RecordsPersistAndTornLinesAreSkipped) {
   EXPECT_EQ(final_state.size(), 2u);
 }
 
-// ------------------------------------------------------------ workerpool --
-
-TEST(WorkerPoolAggregation, AllItemsRunAndAllFailuresAreCollected) {
-  parallel::WorkerPool pool(3);
-  std::atomic<int> executed{0};
-  try {
-    pool.run(8, [&](std::size_t item, int) {
-      executed.fetch_add(1);
-      if (item == 1) throw std::runtime_error("boom one");
-      if (item == 4) throw std::invalid_argument("boom four");
-      if (item == 6) throw std::runtime_error("boom six");
-    });
-    FAIL() << "expected AggregateError";
-  } catch (const parallel::AggregateError& e) {
-    ASSERT_EQ(e.failures().size(), 3u);
-    EXPECT_EQ(e.failures()[0].item, 1u);  // sorted by item index
-    EXPECT_EQ(e.failures()[1].item, 4u);
-    EXPECT_EQ(e.failures()[2].item, 6u);
-    EXPECT_NE(e.failures()[1].message.find("boom four"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("3 of 8 items failed"),
-              std::string::npos);
-  }
-  // The batch still ran *every* item, including those after the failures.
-  EXPECT_EQ(executed.load(), 8);
-}
-
-TEST(WorkerPoolAggregation, SingleFailureRethrowsOriginalType) {
-  parallel::WorkerPool pool(2);
-  std::atomic<int> executed{0};
-  EXPECT_THROW(pool.run(5,
-                        [&](std::size_t item, int) {
-                          executed.fetch_add(1);
-                          if (item == 2) throw std::invalid_argument("only");
-                        }),
-               std::invalid_argument);
-  EXPECT_EQ(executed.load(), 5);
-}
-
 // ------------------------------------------------------------------ blif --
 
 TEST(BlifRobustness, ErrorsCarrySourceAndLine) {
@@ -693,9 +653,9 @@ TEST(Robustness, ChaosTuneMatchesCleanFrontBitIdentically) {
   TempDir dir;
   faults::install("batch.job@2,store.write@1*");
   tune::TuneOptions chaos_options = options;
-  chaos_options.cache_dir = dir.path.string();
-  chaos_options.jobs = 2;
-  chaos_options.max_retries = 2;
+  chaos_options.batch.cache_dir = dir.path.string();
+  chaos_options.batch.jobs = 2;
+  chaos_options.batch.max_retries = 2;
   const auto injected_before = counter("faults.injected");
   const auto chaos = tune::tune(benchmarks, chaos_options);
   EXPECT_GT(counter("faults.injected"), injected_before);

@@ -435,9 +435,9 @@ TEST(Tuner, ScheduleAndFrontAreJobsInvariant) {
   const auto benchmarks = tiny_benchmarks(41);
   auto options = fast_tune_options();
 
-  options.jobs = 1;
+  options.batch.jobs = 1;
   const auto sequential = tune::tune(benchmarks, options);
-  options.jobs = 4;
+  options.batch.jobs = 4;
   const auto parallel = tune::tune(benchmarks, options);
 
   expect_same_trials(sequential.trials, parallel.trials);
@@ -463,7 +463,7 @@ TEST(Tuner, ResumeAfterKillMatchesUninterruptedRunBitIdentically) {
   // "First process": persists artifacts + ledger, dies after rung 0.
   TempDir dir;
   auto killed_options = fast_tune_options();
-  killed_options.cache_dir = dir.path.string();
+  killed_options.batch.cache_dir = dir.path.string();
   killed_options.stop_after_rung = 0;
   const auto killed = tune::tune(benchmarks, killed_options);
   EXPECT_TRUE(killed.stopped_early);
@@ -471,8 +471,8 @@ TEST(Tuner, ResumeAfterKillMatchesUninterruptedRunBitIdentically) {
 
   // "Second process": fresh tuner, resumes from the ledger.
   auto resumed_options = fast_tune_options();
-  resumed_options.cache_dir = dir.path.string();
-  resumed_options.resume = true;
+  resumed_options.batch.cache_dir = dir.path.string();
+  resumed_options.batch.resume = true;
   const auto resumed = tune::tune(benchmarks, resumed_options);
 
   expect_same_trials(reference.trials, resumed.trials);
@@ -492,14 +492,14 @@ TEST(Tuner, LedgerConfigGuardForcesColdStartOnMismatch) {
   const auto benchmarks = tiny_benchmarks(47);
   TempDir dir;
   auto options = fast_tune_options();
-  options.cache_dir = dir.path.string();
+  options.batch.cache_dir = dir.path.string();
   options.stop_after_rung = 0;
   (void)tune::tune(benchmarks, options);
 
   // Same ledger, different tune seed: every record must be filtered.
   auto other = fast_tune_options();
-  other.cache_dir = dir.path.string();
-  other.resume = true;
+  other.batch.cache_dir = dir.path.string();
+  other.batch.resume = true;
   other.seed = options.seed + 1;
   other.stop_after_rung = 0;
   const auto rerun = tune::tune(benchmarks, other);
@@ -514,7 +514,7 @@ TEST(Tuner, ValidatesItsPreconditions) {
   options.budget = 0;
   EXPECT_THROW((void)tune::tune(benchmarks, options), PreconditionError);
   options = fast_tune_options();
-  options.resume = true;  // without cache_dir
+  options.batch.resume = true;  // without cache_dir
   EXPECT_THROW((void)tune::tune(benchmarks, options), PreconditionError);
   EXPECT_THROW((void)tune::tune({}, fast_tune_options()), PreconditionError);
 }
