@@ -78,8 +78,7 @@ inline double env_double(const char* name, double fallback) {
 inline void register_robustness_counters() {
   for (const char* name :
        {"faults.injected", "batch.retries", "batch.timeouts",
-        "batch.cancelled", "batch.manifest_skips",
-        "flowcache.disk_write_errors"}) {
+        "batch.cancelled", "flowcache.disk_write_errors"}) {
     perf::counter(name);
   }
 }

@@ -59,7 +59,6 @@ int main() {
   options.budget = bench::env_int("MMFLOW_TUNE_BUDGET", 6);
   options.base = config.flow_options(core::CombinedCost::WireLength);
   options.batch = config.batch;
-  options.batch.resume = !config.batch.cache_dir.empty();
   if (const char* spec = std::getenv("MMFLOW_TUNE_KNOBS")) {
     options.space = tune::KnobSpace::from_spec(spec, "MMFLOW_TUNE_KNOBS");
   }

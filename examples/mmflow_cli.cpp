@@ -34,13 +34,10 @@
 ///                                 core::ArtifactStore in PATH, so a rerun
 ///                                 in a fresh process skips the cached work
 ///                                 with bit-identical QoR (docs/CACHING.md).
+///                                 A killed run resumes by rerunning it
+///                                 with the same PATH: finished jobs
+///                                 replay as disk hits (docs/ROBUSTNESS.md).
 ///                                 Defaults to $MMFLOW_CACHE_DIR if set
-///   --resume                      consult the run manifest in --cache-dir
-///                                 and recompute only the jobs a previous
-///                                 (killed) run never finished; completed
-///                                 jobs replay from the store as disk hits
-///                                 and the final table matches an
-///                                 uninterrupted run (docs/ROBUSTNESS.md)
 ///   --job-timeout-ms=N            per-job wall-clock deadline; an
 ///                                 over-deadline job is reported as
 ///                                 timed_out instead of hanging the run
@@ -77,9 +74,8 @@
 ///                                 baseline. Deterministic: the same
 ///                                 --tune-seed reproduces the front
 ///                                 bit-identically for every --jobs value
-///                                 and across cache/resume reruns. Combines
-///                                 with --jobs, --cache-dir, --resume,
-///                                 --retries, --faults
+///                                 and across cache reruns. Combines with
+///                                 --jobs, --cache-dir, --retries, --faults
 ///   --tune-budget=N               distinct knob configurations sampled at
 ///                                 rung 0 (default 16)
 ///   --tune-seed=S                 tune-schedule seed (default 1; distinct
@@ -115,7 +111,6 @@
 #include "common/strings.h"
 #include "core/batch.h"
 #include "core/flows.h"
-#include "core/manifest.h"
 #include "core/metrics.h"
 #include "core/timing.h"
 #include "tunable/report.h"
@@ -130,7 +125,7 @@ void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--cost=wirelength|edgematch] [--seed=N] "
                "[--seeds=N] [--jobs=K] [--inner=F] "
-               "[--timing-tradeoff=F] [--cache-dir=PATH] [--resume] "
+               "[--timing-tradeoff=F] [--cache-dir=PATH] "
                "[--job-timeout-ms=N] [--retries=N] [--retry-backoff-ms=N] "
                "[--faults=SPEC] [--k=N] [--report] [--report-full] "
                "[--verify-modes] [--verify-cutoff=N] "
@@ -172,14 +167,13 @@ void print_robustness_stats() {
   const unsigned long long retries = value("batch.retries");
   const unsigned long long timeouts = value("batch.timeouts");
   const unsigned long long cancelled = value("batch.cancelled");
-  const unsigned long long skips = value("batch.manifest_skips");
-  if (!faults::enabled() && injected + retries + timeouts + cancelled + skips == 0) {
+  if (!faults::enabled() && injected + retries + timeouts + cancelled == 0) {
     return;
   }
   std::printf(
       "robustness: %llu faults injected, %llu retries, %llu timeouts, "
-      "%llu cancelled, %llu manifest skips\n",
-      injected, retries, timeouts, cancelled, skips);
+      "%llu cancelled\n",
+      injected, retries, timeouts, cancelled);
 }
 
 /// Prints the equivalence-gate counters (docs/VERIFICATION.md).
@@ -368,16 +362,6 @@ int run_jobs(const std::vector<Input>& inputs,
   std::printf("\n%zu jobs run; shared RRGs built once per width: %zu; "
               "flow-cache entries: %zu\n",
               results.size(), driver.rrgs().size(), driver.cache().size());
-  if (batch_options.resume) {
-    std::size_t skipped = 0;
-    for (const auto& result : results) {
-      if (result.outcome.manifest_skip) ++skipped;
-    }
-    std::printf("resume: %zu of %zu jobs already in run manifest (%s)\n",
-                skipped, results.size(),
-                core::RunManifest::default_path(batch_options.cache_dir)
-                    .c_str());
-  }
   if (verify_modes) {
     print_verify_stats();
     std::printf("mode equivalence gate: %s\n",
@@ -552,8 +536,6 @@ int main(int argc, char** argv) {
         }
       } else if (arg.rfind("--cache-dir=", 0) == 0) {
         batch.cache_dir = arg.substr(12);
-      } else if (arg == "--resume") {
-        batch.resume = true;
       } else if (arg.rfind("--job-timeout-ms=", 0) == 0) {
         batch.job_timeout_ms = parse_int(arg.substr(17), "--job-timeout-ms");
         if (batch.job_timeout_ms < 0) {
@@ -646,12 +628,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "error: --tune is incompatible with "
                  "--verify-modes/--seeds/--report\n");
-    return 1;
-  }
-  if (batch.resume && batch.cache_dir.empty()) {
-    std::fprintf(stderr,
-                 "error: --resume needs a run manifest; pass --cache-dir "
-                 "(or set MMFLOW_CACHE_DIR)\n");
     return 1;
   }
 

@@ -116,16 +116,12 @@ std::uint64_t parse_u64(std::string_view text, std::string_view what) {
   return parse_whole<std::uint64_t>(text, what, "an unsigned integer");
 }
 
-bool try_parse_int(std::string_view text, int* out) {
-  return try_parse_whole<int>(text, 10, out);
+bool try_parse_u64(std::string_view text, std::uint64_t* out) {
+  return try_parse_whole<std::uint64_t>(text, 10, out);
 }
 
 bool try_parse_hex_u64(std::string_view text, std::uint64_t* out) {
   return try_parse_whole<std::uint64_t>(text, 16, out);
-}
-
-bool try_parse_hex_u32(std::string_view text, std::uint32_t* out) {
-  return try_parse_whole<std::uint32_t>(text, 16, out);
 }
 
 double parse_double(std::string_view text, std::string_view what) {

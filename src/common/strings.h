@@ -50,22 +50,20 @@ namespace mmflow {
 /// Parses all of `text` as a finite double.
 [[nodiscard]] double parse_double(std::string_view text, std::string_view what);
 
-// Non-throwing variants for record-log loaders (run manifest, tune ledger):
-// a malformed field there is *data* — a torn or foreign line that degrades
-// to "skip this record" — not a caller error, so these return false instead
-// of throwing. Same strictness as the throwing parsers: the whole trimmed
-// text must parse, no trailing junk. The hex forms accept bare lowercase or
-// uppercase hex digits only (no 0x prefix, no sign), matching the
-// fixed-width %016x fields the writers emit.
+// Non-throwing variants for the tune ledger's record loader: a malformed
+// field there is *data* — a torn or foreign line that degrades to "skip
+// this record" — not a caller error, so these return false instead of
+// throwing, and leave `*out` untouched. Same strictness as the throwing
+// parsers: the whole trimmed text must parse, no trailing junk, no
+// overflow. The hex form accepts bare lowercase or uppercase hex digits
+// only (no 0x prefix, no sign), matching the %016x fields the writer emits.
 
-/// Parses all of `text` as a decimal int into `*out`; false on any junk.
-[[nodiscard]] bool try_parse_int(std::string_view text, int* out);
+/// Parses all of `text` as a decimal unsigned 64-bit value into `*out`.
+[[nodiscard]] bool try_parse_u64(std::string_view text, std::uint64_t* out);
 
 /// Parses all of `text` as unsigned hex (no 0x prefix) into `*out`.
 [[nodiscard]] bool try_parse_hex_u64(std::string_view text,
                                      std::uint64_t* out);
-[[nodiscard]] bool try_parse_hex_u32(std::string_view text,
-                                     std::uint32_t* out);
 
 // ---- knob-range specs -------------------------------------------------------
 //

@@ -10,7 +10,6 @@
 #include "common/faults.h"
 #include "common/perf.h"
 #include "core/artifact_store.h"
-#include "core/manifest.h"
 
 namespace mmflow::core {
 
@@ -113,8 +112,6 @@ std::vector<BatchJob> config_sweep(
 BatchDriver::BatchDriver(const BatchOptions& options) : options_(options) {
   if (options_.use_cache && !options_.cache_dir.empty()) {
     cache_.attach_store(std::make_shared<ArtifactStore>(options_.cache_dir));
-    manifest_ = std::make_shared<RunManifest>(
-        RunManifest::default_path(options_.cache_dir));
   }
 }
 
@@ -143,24 +140,10 @@ std::vector<BatchResult> BatchDriver::run(const std::vector<BatchJob>& jobs) {
     out.engine = job.options.cost_engine;
     const auto start = std::chrono::steady_clock::now();
 
-    // The whole-experiment key is how the run manifest addresses this job;
-    // only needed when a manifest exists (i.e. a cache_dir was set).
-    std::optional<FlowKey> key;
     for (int attempt = 0;; ++attempt) {
       try {
         MMFLOW_REQUIRE_MSG(job.modes != nullptr,
                            "batch job '" << job.name << "' has no modes");
-        // Inside the try: invalid flow inputs throw here as they would in
-        // the flow itself, and land in this job's slot.
-        if (manifest_ != nullptr && !key.has_value()) {
-          key = experiment_key(*job.modes, job.options);
-          if (options_.resume && manifest_->contains(*key)) {
-            // A previous run completed this job: its result replays from
-            // the artifact store below (a disk hit), never a recompute.
-            out.outcome.manifest_skip = true;
-            MMFLOW_PERF_ADD("batch.manifest_skips", 1);
-          }
-        }
         // Per-attempt deadline token, chained to the batch-wide cancel: one
         // cancel() stops every job; a deadline trips only this attempt.
         CancelToken token(options_.cancel);
@@ -175,7 +158,6 @@ std::vector<BatchResult> BatchDriver::run(const std::vector<BatchJob>& jobs) {
         out.error.clear();
         out.outcome.status = JobStatus::Ok;
         out.outcome.error_kind.clear();
-        if (manifest_ != nullptr && key.has_value()) manifest_->record(*key);
         break;
       } catch (const std::exception& e) {
         out.error = e.what();

@@ -40,10 +40,9 @@
 /// epoch / PathFinder iteration. All of it is cooperative — no thread is
 /// ever killed, and a job unwinds by exception *before* any cache or store
 /// write, so an aborted attempt leaves no partial artifacts. With a
-/// `cache_dir`, every completed job's `FlowKey` is appended to a run
-/// manifest (core/manifest.h) next to the store; `resume = true` consults
-/// it so a restarted sweep recomputes only the keys the dead process never
-/// finished (the completed ones replay as disk hits). See
+/// `cache_dir`, a killed sweep resumes by rerunning it on the same
+/// directory: the jobs the dead process finished replay from the artifact
+/// store as disk hits, and only the rest are recomputed. See
 /// docs/ROBUSTNESS.md.
 ///
 /// ## Ownership & thread-safety
@@ -66,8 +65,6 @@
 
 namespace mmflow::core {
 
-class RunManifest;  // core/manifest.h — completed-key log for --resume
-
 /// One unit of batch work: a full two-flow experiment on one (modes,
 /// options) point. `modes` is shared and never mutated.
 struct BatchJob {
@@ -87,8 +84,7 @@ struct BatchOptions {
   /// All workers share the one store; its commit path serializes writes, so
   /// parallel batches stay deterministic and a later batch process — or a
   /// shard on another machine sharing the directory — starts warm. See
-  /// docs/CACHING.md. Also enables the run manifest (core/manifest.h): every
-  /// completed job's FlowKey is logged next to the store.
+  /// docs/CACHING.md.
   std::string cache_dir;
   /// Per-job wall-clock deadline in milliseconds; 0 = none. Cooperative:
   /// the driver plants a deadline `CancelToken` in the job's FlowOptions,
@@ -108,11 +104,6 @@ struct BatchOptions {
   /// in-flight job unwinds at its next poll as `JobStatus::Cancelled`;
   /// queued jobs fail fast the same way. Not owned; may be null.
   const CancelToken* cancel = nullptr;
-  /// Consult the run manifest (requires `cache_dir`): jobs whose FlowKey a
-  /// previous run completed are counted as `batch.manifest_skips` and served
-  /// from the store (disk hits) instead of recomputed — the restarted sweep
-  /// emits the same table as an uninterrupted run.
-  bool resume = false;
 };
 
 /// Terminal state of one job after all attempts.
@@ -136,9 +127,6 @@ struct JobOutcome {
   /// "fault_injected", "parse", "precondition", "internal" or "runtime";
   /// empty when the job succeeded.
   std::string error_kind;
-  /// True when `BatchOptions::resume` found this job's key in the run
-  /// manifest (its result then replays from the artifact store).
-  bool manifest_skip = false;
 };
 
 /// Result slot for one job, in submission order.
@@ -202,15 +190,10 @@ class BatchDriver {
   [[nodiscard]] FlowCache& cache() { return cache_; }
   [[nodiscard]] RrgCache& rrgs() { return rrgs_; }
 
-  /// The run manifest (null unless `cache_dir` was set). Exposed for
-  /// reporting — e.g. the CLI's resume summary.
-  [[nodiscard]] const RunManifest* manifest() const { return manifest_.get(); }
-
  private:
   BatchOptions options_;
   FlowCache cache_;
   RrgCache rrgs_;
-  std::shared_ptr<RunManifest> manifest_;
 };
 
 }  // namespace mmflow::core

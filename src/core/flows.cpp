@@ -659,7 +659,7 @@ ArchSpec base_region(const std::vector<techmap::LutCircuit>& modes,
 
 /// Whole-experiment key against a precomputed base region; the single point
 /// of truth the public `experiment_key` and `run_experiment_shared` share
-/// (a manifest entry written from one must match a lookup from the other).
+/// (dcsbench/src/trace.cpp looks up with one what the other filed).
 FlowKey experiment_key_for(const ArchSpec& base,
                            const std::vector<techmap::LutCircuit>& modes,
                            const FlowOptions& options) {

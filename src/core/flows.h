@@ -213,10 +213,10 @@ struct FlowKeyHash {
 };
 
 /// The whole-experiment `FlowKey` that `run_experiment_shared` files
-/// `(modes, options)` under — exposed so sweep drivers can address results
-/// without running the flow (the batch driver's run manifest and `--resume`
-/// are built on it; see core/manifest.h). Dominated by `hash_modes`, so
-/// hoist it out of per-seed loops where possible.
+/// `(modes, options)` under — exposed so code outside the flow can address
+/// its cache entries (the benchmark's traced flow replica,
+/// dcsbench/src/trace.cpp, looks results up with it). Dominated by
+/// `hash_modes`, so hoist it out of per-seed loops where possible.
 [[nodiscard]] FlowKey experiment_key(
     const std::vector<techmap::LutCircuit>& modes, const FlowOptions& options);
 

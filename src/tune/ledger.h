@@ -1,15 +1,15 @@
 #pragma once
 /// \file ledger.h
 /// The autotuner's trial ledger: an append-only record of every finished
-/// trial, built on `core::RecordLog` (tag "mmflow-tune-v1").
+/// trial (tag "mmflow-tune-v1"), at `<cache_dir>/tune.log`.
 ///
-/// The batch driver's run manifest answers "is this flow's artifact on
-/// disk?"; the ledger answers the tuner-level question "what QoR did trial
-/// t at rung r produce?" — which a resumed tune needs to rebuild its
-/// successive-halving state without re-running (or even re-loading) the
-/// flows of completed rungs. One line per trial, holding the knob
-/// coordinates and objective vector as exact IEEE-754 bits (hex), so a
-/// resumed front is bit-identical to an uninterrupted one.
+/// The artifact store answers "is this flow's artifact on disk?"; the
+/// ledger answers the tuner-level question "what QoR did trial t at rung r
+/// produce?" — which a rerun tune needs to rebuild its successive-halving
+/// state without re-running (or even re-loading) the flows of completed
+/// rungs. One line per trial, holding the knob coordinates and objective
+/// vector as exact IEEE-754 bits (hex), so a resumed front is bit-identical
+/// to an uninterrupted one. A tune with a cache dir always replays it.
 ///
 /// Only *deterministic terminal* outcomes are recorded: `ok` (with
 /// objectives) and `failed` (a flow error — deterministic by the engine
@@ -19,17 +19,22 @@
 ///
 /// Every record carries the hash of the tune configuration (knob space +
 /// seed + budget + objectives); load() skips records from a different
-/// configuration, so pointing `--resume` at a stale ledger degrades to a
-/// cold start instead of silently grafting mismatched trials. Corrupt
-/// (torn) lines are skipped by the RecordLog line discipline.
+/// configuration, so a cache dir holding a stale ledger degrades to a cold
+/// start instead of silently grafting mismatched trials.
+///
+/// Robustness contract (matches the store's): the ledger is advisory and
+/// self-healing. A missing or unreadable file is an empty ledger; corrupt
+/// lines are skipped, never fatal; a failed append is warned and counted.
+/// Each record is handed to the OS as one flushed write of the line and its
+/// '\n', so a last line without '\n' is torn by a kill by definition: it is
+/// skipped even if it happens to parse, and cut off the file so it is never
+/// replayed and later appends start on a fresh line.
 
 #include <cstdint>
 #include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
-
-#include "core/manifest.h"
 
 namespace mmflow::tune {
 
@@ -63,9 +68,7 @@ class TrialLedger {
   /// Lines dropped during load: torn/corrupt plus configuration mismatches.
   [[nodiscard]] std::size_t skipped() const { return skipped_; }
 
-  [[nodiscard]] const std::filesystem::path& path() const {
-    return log_.path();
-  }
+  [[nodiscard]] const std::filesystem::path& path() const { return path_; }
 
   /// The conventional ledger location next to a sweep's artifact store.
   [[nodiscard]] static std::filesystem::path default_path(
@@ -81,7 +84,7 @@ class TrialLedger {
                                          TrialRecord& record);
 
  private:
-  core::RecordLog log_;
+  std::filesystem::path path_;
   std::uint64_t config_hash_;
   std::size_t skipped_ = 0;
   std::map<std::pair<std::uint64_t, int>, TrialRecord> records_;

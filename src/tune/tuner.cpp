@@ -185,9 +185,6 @@ TuneResult tune(const std::vector<TuneBenchmark>& benchmarks,
   }
   MMFLOW_REQUIRE_MSG(options.budget >= 1,
                      "tune: budget " << options.budget << " < 1");
-  MMFLOW_REQUIRE_MSG(
-      !options.batch.resume || !options.batch.cache_dir.empty(),
-      "tune: resume requires cache_dir");
 
   TuneResult result;
   const ObjectiveSet objectives =
@@ -210,11 +207,6 @@ TuneResult tune(const std::vector<TuneBenchmark>& benchmarks,
     const std::uint64_t config_hash = tune_config_hash(options, benchmarks);
     ledger = std::make_unique<TrialLedger>(
         TrialLedger::default_path(options.batch.cache_dir), config_hash);
-    if (!options.batch.resume && ledger->size() != 0) {
-      MMFLOW_INFO("tune: ledger holds " << ledger->size()
-                                        << " record(s); pass resume to replay "
-                                        << "them instead of recomputing");
-    }
   }
 
   core::BatchDriver driver(options.batch);
@@ -264,9 +256,7 @@ TuneResult tune(const std::vector<TuneBenchmark>& benchmarks,
       trial.rung = rung;
       trial.knob_values = trial_values(evaluating[i]);
       const TrialRecord* record =
-          (ledger != nullptr && options.batch.resume)
-              ? ledger->find(evaluating[i], rung)
-              : nullptr;
+          ledger != nullptr ? ledger->find(evaluating[i], rung) : nullptr;
       if (record != nullptr) {
         trial.ok = record->ok;
         trial.from_ledger = true;

@@ -33,8 +33,9 @@
 /// Identical `TuneOptions` (same seed, budget, objectives, knob space,
 /// benchmarks) produce a bit-identical trial schedule, bit-identical
 /// per-trial QoR and a bit-identical final front — for every `jobs` value,
-/// across cold/warm artifact-store reruns, and across a kill + `resume`
-/// mid-run (the trial ledger replays completed rungs exactly). Wall times
+/// across cold/warm artifact-store reruns, and across a kill mid-run and a
+/// rerun on the same cache dir (the trial ledger replays completed rungs
+/// exactly). Wall times
 /// are the only field that varies.
 
 #include <cstdint>
@@ -85,8 +86,8 @@ struct TuneOptions {
   core::FlowOptions base;   ///< baseline flow options (also the flow seed)
   /// How every trial batch runs; passed straight to the core::BatchDriver.
   /// A non-empty `batch.cache_dir` also holds the trial ledger (ledger.h),
-  /// and `batch.resume` replays completed trials from it (requires
-  /// `batch.cache_dir`). None of these fields shapes the schedule.
+  /// and every completed trial recorded there replays instead of rerunning.
+  /// None of these fields shapes the schedule.
   core::BatchOptions batch;
   /// Testing hook: return (as if killed) after this rung completes and is
   /// ledgered; -1 = run to completion. The resume determinism test stops
@@ -127,7 +128,7 @@ struct TuneResult {
     const TuneOptions& options, const std::vector<TuneBenchmark>& benchmarks);
 
 /// Runs the search. Throws PreconditionError on an unusable configuration
-/// (no benchmarks, budget < 1, resume without cache_dir); flow failures
+/// (no benchmarks, budget < 1); flow failures
 /// inside trials are captured per-trial, never propagated.
 [[nodiscard]] TuneResult tune(const std::vector<TuneBenchmark>& benchmarks,
                               const TuneOptions& options);

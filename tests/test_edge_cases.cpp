@@ -254,8 +254,8 @@ TEST(EdgeCases, CombinedPlaceSingleModeEdgeMatch) {
 TEST(EdgeCases, NonPositiveAnnealEffortIsRejected) {
   // The annealer would clamp these to one move per temperature and return
   // an unannealed placement; the flow entry rejects them instead. A driver
-  // with a cache dir also keys its run manifest with them, and that must
-  // fail inside the job too, not on the worker thread.
+  // job must report the rejection in its own slot, with and without a
+  // cache dir, never on the worker thread.
   const auto modes =
       std::make_shared<const std::vector<techmap::LutCircuit>>(
           std::vector<techmap::LutCircuit>{solo_mode(), solo_mode()});

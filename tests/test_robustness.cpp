@@ -1,7 +1,7 @@
 /// Fault-tolerance tests (docs/ROBUSTNESS.md): the deterministic fault
 /// registry itself, cooperative cancellation/timeouts, retry healing to
 /// bit-identical QoR, artifact-store degradation under injected I/O faults,
-/// resumable sweeps via the run manifest, and BLIF front-end robustness
+/// sweeps that resume from the artifact store, and BLIF front-end robustness
 /// against corrupted input.
 
 #include <gtest/gtest.h>
@@ -24,7 +24,6 @@
 #include "common/rng.h"
 #include "core/artifact_store.h"
 #include "core/batch.h"
-#include "core/manifest.h"
 #include "core/metrics.h"
 #include "tune/knobs.h"
 #include "tune/tuner.h"
@@ -402,8 +401,6 @@ TEST(Robustness, CancellationLeavesNoPartialCacheWrites) {
   EXPECT_EQ(counter("flowcache.disk_writes"), writes_before);
   core::ArtifactStore store(dir.path);
   EXPECT_EQ(store.size(), 0u);  // no partial artifacts
-  core::RunManifest manifest(core::RunManifest::default_path(dir.path));
-  EXPECT_EQ(manifest.size(), 0u);  // no completion records either
 }
 
 /// Broken cache directory (path occupied by a file): the sweep completes
@@ -434,7 +431,7 @@ TEST(Robustness, BrokenCacheDirDegradesGracefully) {
 
 // ---------------------------------------------------------------- resume --
 
-TEST(Robustness, ResumeSkipsManifestKeysAndMatchesUninterruptedRun) {
+TEST(Robustness, RerunOnSameCacheDirMatchesUninterruptedRun) {
   TempDir dir;
   const auto modes = similar_mode_pair(40, 37);
   const auto shared =
@@ -445,23 +442,17 @@ TEST(Robustness, ResumeSkipsManifestKeysAndMatchesUninterruptedRun) {
   core::BatchDriver plain;
   const auto reference = plain.run(core::seed_sweep("r", shared, base, 4));
 
+  core::BatchOptions batch_options;
+  batch_options.cache_dir = dir.path.string();
   // "First process": completes only the first two seeds, then dies.
   {
-    core::BatchOptions batch_options;
-    batch_options.cache_dir = dir.path.string();
     core::BatchDriver driver(batch_options);
     const auto partial = driver.run(core::seed_sweep("r", shared, base, 2));
     ASSERT_TRUE(partial[0].experiment && partial[1].experiment);
-    ASSERT_NE(driver.manifest(), nullptr);
-    EXPECT_EQ(driver.manifest()->size(), 2u);
   }
 
-  // "Second process": resumes the full 4-seed sweep over the same dir.
-  core::BatchOptions batch_options;
-  batch_options.cache_dir = dir.path.string();
-  batch_options.resume = true;
+  // "Second process": reruns the full 4-seed sweep on the same dir.
   core::BatchDriver driver(batch_options);
-  const auto skips_before = counter("batch.manifest_skips");
   const auto hits_before = counter("flowcache.disk_hits");
   const auto results = driver.run(core::seed_sweep("r", shared, base, 4));
 
@@ -469,52 +460,10 @@ TEST(Robustness, ResumeSkipsManifestKeysAndMatchesUninterruptedRun) {
   for (std::size_t s = 0; s < 4; ++s) {
     ASSERT_TRUE(results[s].experiment != nullptr) << results[s].error;
     EXPECT_EQ(results[s].outcome.status, core::JobStatus::Ok);
-    EXPECT_EQ(results[s].outcome.manifest_skip, s < 2);  // only seeds 1, 2
     expect_same_experiment(*reference[s].experiment, *results[s].experiment);
   }
-  EXPECT_EQ(counter("batch.manifest_skips"), skips_before + 2);
-  EXPECT_GT(counter("flowcache.disk_hits"), hits_before);  // replayed, not
-                                                           // recomputed
-  EXPECT_EQ(driver.manifest()->size(), 4u);  // now everything is recorded
-}
-
-TEST(Manifest, RecordsPersistAndTornLinesAreSkipped) {
-  TempDir dir;
-  const auto path = core::RunManifest::default_path(dir.path);
-  core::FlowKey key;
-  key.netlist = 0x1111;
-  key.arch = 0x2222;
-  key.options = 0x3333;
-  key.seed = 42;
-  key.engine = 2;
-  key.variant = 0x4444;
-  core::FlowKey other = key;
-  other.seed = 43;
-  {
-    core::RunManifest manifest(path);
-    EXPECT_EQ(manifest.size(), 0u);
-    EXPECT_FALSE(manifest.contains(key));
-    manifest.record(key);
-    manifest.record(key);  // idempotent
-    EXPECT_TRUE(manifest.contains(key));
-    EXPECT_EQ(manifest.size(), 1u);
-  }
-  // Simulate a record torn by a kill plus unrelated garbage.
-  {
-    std::ofstream os(path, std::ios::app);
-    os << "mmflow-run-v1 00000000000";  // truncated mid-field, no newline
-  }
-  {
-    core::RunManifest reloaded(path);
-    EXPECT_TRUE(reloaded.contains(key));
-    EXPECT_FALSE(reloaded.contains(other));
-    EXPECT_EQ(reloaded.size(), 1u);
-    reloaded.record(other);  // appending after garbage still works
-  }
-  core::RunManifest final_state(path);
-  EXPECT_TRUE(final_state.contains(key));
-  EXPECT_TRUE(final_state.contains(other));
-  EXPECT_EQ(final_state.size(), 2u);
+  // Seeds 1 and 2 replayed from the store, not recomputed.
+  EXPECT_GT(counter("flowcache.disk_hits"), hits_before);
 }
 
 // ------------------------------------------------------------------ blif --

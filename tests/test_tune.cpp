@@ -383,6 +383,12 @@ TEST(TrialLedger, ParseRejectsMalformedLines) {
   EXPECT_FALSE(tune::TrialLedger::parse_record(
       good.substr(0, good.size() / 2), hash, record));  // torn tail
   EXPECT_FALSE(tune::TrialLedger::parse_record(good + " junk", hash, record));
+  // A trial index past 2^64 - 1 is junk, not a wrapped-around small index.
+  std::string overflow = good;
+  const auto trial_pos = overflow.find(" 7 2 ok ");
+  ASSERT_NE(trial_pos, std::string::npos);
+  overflow.replace(trial_pos, 2, " 18446744073709551617");
+  EXPECT_FALSE(tune::TrialLedger::parse_record(overflow, hash, record));
   std::string wrong_tag = good;
   wrong_tag[8] = 'X';
   EXPECT_FALSE(tune::TrialLedger::parse_record(wrong_tag, hash, record));
@@ -421,12 +427,34 @@ TEST(TrialLedger, SurvivesTornLinesAndForeignConfigs) {
   EXPECT_EQ(reloaded.find(11, 2), nullptr);  // foreign config filtered
   EXPECT_EQ(reloaded.find(7, 2)->objectives, sample_record().objectives);
 
-  // The re-terminated tail keeps later appends loadable.
+  // Cutting off the torn tail keeps later appends loadable.
   tune::TrialRecord third = sample_record();
   third.trial = 12;
   reloaded.record(third);
   tune::TrialLedger final_state(path, 100);
   EXPECT_EQ(final_state.size(), 3u);
+
+  // A tail cut inside its last field (wall_ms 1234 -> 12) still parses, but
+  // a line without '\n' is torn by definition: it is dropped and cut off
+  // the file, so it is never replayed and the next record does not fuse
+  // onto it.
+  {
+    tune::TrialRecord torn = sample_record();
+    torn.trial = 13;
+    const std::string line = tune::TrialLedger::format_record(100, torn);
+    std::ofstream os(path, std::ios::app);
+    os << line.substr(0, line.size() - 2);
+  }
+  tune::TrialLedger cut(path, 100);
+  EXPECT_EQ(cut.size(), 3u);
+  EXPECT_EQ(cut.find(13, 2), nullptr);
+  tune::TrialRecord fourth = sample_record();
+  fourth.trial = 14;
+  cut.record(fourth);
+  tune::TrialLedger after_cut(path, 100);
+  EXPECT_EQ(after_cut.size(), 4u);
+  ASSERT_NE(after_cut.find(14, 2), nullptr);
+  EXPECT_EQ(after_cut.find(14, 2)->wall_ms, fourth.wall_ms);
 }
 
 // ------------------------------------------------------------ tuner runs --
@@ -469,10 +497,9 @@ TEST(Tuner, ResumeAfterKillMatchesUninterruptedRunBitIdentically) {
   EXPECT_TRUE(killed.stopped_early);
   EXPECT_EQ(killed.rungs_run, 1);
 
-  // "Second process": fresh tuner, resumes from the ledger.
+  // "Second process": fresh tuner on the same dir replays the ledger.
   auto resumed_options = fast_tune_options();
   resumed_options.batch.cache_dir = dir.path.string();
-  resumed_options.batch.resume = true;
   const auto resumed = tune::tune(benchmarks, resumed_options);
 
   expect_same_trials(reference.trials, resumed.trials);
@@ -499,7 +526,6 @@ TEST(Tuner, LedgerConfigGuardForcesColdStartOnMismatch) {
   // Same ledger, different tune seed: every record must be filtered.
   auto other = fast_tune_options();
   other.batch.cache_dir = dir.path.string();
-  other.batch.resume = true;
   other.seed = options.seed + 1;
   other.stop_after_rung = 0;
   const auto rerun = tune::tune(benchmarks, other);
@@ -512,9 +538,6 @@ TEST(Tuner, ValidatesItsPreconditions) {
   const auto benchmarks = tiny_benchmarks(53);
   auto options = fast_tune_options();
   options.budget = 0;
-  EXPECT_THROW((void)tune::tune(benchmarks, options), PreconditionError);
-  options = fast_tune_options();
-  options.batch.resume = true;  // without cache_dir
   EXPECT_THROW((void)tune::tune(benchmarks, options), PreconditionError);
   EXPECT_THROW((void)tune::tune({}, fast_tune_options()), PreconditionError);
 }

@@ -15,8 +15,8 @@ do:
                                it varies across standard libraries,
                                hash-seed choices and container histories.
                                Any such loop that feeds an FNV hash, a
-                               ledger/manifest record, or printed QoR is
-                               a latent bit-identity break. Allowlist a
+                               ledger record, or printed QoR is a latent
+                               bit-identity break. Allowlist a
                                provably order-insensitive loop (e.g. a
                                commutative integer reduction) with
                                `// mmflow-lint: ordered-ok(reason)`.
@@ -91,7 +91,6 @@ PERF_MODULES = {
     "faults",
     "flow",
     "flowcache",
-    "manifest",
     "place",
     "route",
     "rrgcache",
