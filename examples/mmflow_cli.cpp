@@ -75,7 +75,8 @@
 ///                                 --tune-seed reproduces the front
 ///                                 bit-identically for every --jobs value
 ///                                 and across cache reruns. Combines with
-///                                 --jobs, --cache-dir, --retries, --faults
+///                                 --jobs, --cache-dir, --retries, --faults.
+///                                 The --tune-* options below require it
 ///   --tune-budget=N               distinct knob configurations sampled at
 ///                                 rung 0 (default 16)
 ///   --tune-seed=S                 tune-schedule seed (default 1; distinct
@@ -385,8 +386,7 @@ bool write_tune_json(const std::string& path, const tune::TuneResult& result) {
       << ", \"baseline\": "
       << (trial.index == result.baseline.index ? "true" : "false")
       << ", \"front\": " << (on_front ? "true" : "false")
-      << ", \"ok\": " << (trial.ok ? "true" : "false")
-      << ", \"from_ledger\": " << (trial.from_ledger ? "true" : "false");
+      << ", \"ok\": " << (trial.ok ? "true" : "false");
     for (std::size_t i = 0; i < result.knob_names.size(); ++i) {
       s << ", \"knob." << result.knob_names[i]
         << "\": " << format_double(trial.knob_values[i], 6);
@@ -409,7 +409,7 @@ bool write_tune_json(const std::string& path, const tune::TuneResult& result) {
                   [&result](const tune::TuneTrial& t) {
                     return t.index == result.baseline.index;
                   });
-  if (!baseline_on_front && result.rungs_run == result.rungs) {
+  if (!baseline_on_front) {
     if (!first) os << ",\n";
     first = false;
     row(os, result.baseline, false);
@@ -442,16 +442,8 @@ int run_tune(const std::vector<tune::TuneBenchmark>& benchmarks,
               benchmarks.size(),
               static_cast<unsigned long long>(tune_options.seed));
   const tune::TuneResult result = tune::tune(benchmarks, tune_options);
-  if (result.stopped_early) {
-    std::printf("tune: stopped after rung %d of %d\n", result.rungs_run,
-                result.rungs);
-    return 0;
-  }
-  std::printf("\ntrials: %zu evaluations over %d rungs (%llu ledger hits, "
-              "%llu failures)\n",
-              result.trials.size(), result.rungs_run,
-              static_cast<unsigned long long>(
-                  perf::counter_value("tune.ledger_hits")),
+  std::printf("\ntrials: %zu evaluations over %d rungs (%llu failures)\n",
+              result.trials.size(), result.rungs,
               static_cast<unsigned long long>(
                   perf::counter_value("tune.failures")));
   std::printf("\nPareto front (%zu points; baseline* = default knobs on the "
@@ -494,6 +486,7 @@ int main(int argc, char** argv) {
   std::string suite;
   int limit_pairs = 0;
   bool tune_mode = false;
+  bool tune_flags = false;  // any --tune-* option given
   tune::TuneOptions tune_options;
   std::string tune_json;
   std::vector<std::string> paths;
@@ -501,6 +494,7 @@ int main(int argc, char** argv) {
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
+      if (arg.rfind("--tune-", 0) == 0) tune_flags = true;
       if (arg.rfind("--cost=", 0) == 0) {
         const std::string value = arg.substr(7);
         if (value == "wirelength") {
@@ -628,6 +622,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "error: --tune is incompatible with "
                  "--verify-modes/--seeds/--report\n");
+    return 1;
+  }
+  if (tune_flags && !tune_mode) {
+    std::fprintf(stderr, "error: --tune-* options require --tune\n");
     return 1;
   }
 

@@ -92,20 +92,6 @@ T parse_whole(std::string_view text, std::string_view what, const char* kind) {
   return value;
 }
 
-/// Non-throwing core shared by the try_parse_* family: whole trimmed text
-/// must parse in `base`, no sign for unsigned types (from_chars rejects it).
-template <typename T>
-bool try_parse_whole(std::string_view text, int base, T* out) {
-  const std::string_view t = trim(text);
-  if (t.empty()) return false;
-  T value{};
-  const auto* end = t.data() + t.size();
-  const auto [ptr, ec] = std::from_chars(t.data(), end, value, base);
-  if (ec != std::errc{} || ptr != end) return false;
-  *out = value;
-  return true;
-}
-
 }  // namespace
 
 int parse_int(std::string_view text, std::string_view what) {
@@ -114,14 +100,6 @@ int parse_int(std::string_view text, std::string_view what) {
 
 std::uint64_t parse_u64(std::string_view text, std::string_view what) {
   return parse_whole<std::uint64_t>(text, what, "an unsigned integer");
-}
-
-bool try_parse_u64(std::string_view text, std::uint64_t* out) {
-  return try_parse_whole<std::uint64_t>(text, 10, out);
-}
-
-bool try_parse_hex_u64(std::string_view text, std::uint64_t* out) {
-  return try_parse_whole<std::uint64_t>(text, 16, out);
 }
 
 double parse_double(std::string_view text, std::string_view what) {

@@ -50,28 +50,13 @@ namespace mmflow {
 /// Parses all of `text` as a finite double.
 [[nodiscard]] double parse_double(std::string_view text, std::string_view what);
 
-// Non-throwing variants for the tune ledger's record loader: a malformed
-// field there is *data* — a torn or foreign line that degrades to "skip
-// this record" — not a caller error, so these return false instead of
-// throwing, and leave `*out` untouched. Same strictness as the throwing
-// parsers: the whole trimmed text must parse, no trailing junk, no
-// overflow. The hex form accepts bare lowercase or uppercase hex digits
-// only (no 0x prefix, no sign), matching the %016x fields the writer emits.
-
-/// Parses all of `text` as a decimal unsigned 64-bit value into `*out`.
-[[nodiscard]] bool try_parse_u64(std::string_view text, std::uint64_t* out);
-
-/// Parses all of `text` as unsigned hex (no 0x prefix) into `*out`.
-[[nodiscard]] bool try_parse_hex_u64(std::string_view text,
-                                     std::uint64_t* out);
-
 // ---- knob-range specs -------------------------------------------------------
 //
 // The autotuner (src/tune/) searches over named numeric knobs; a search
 // range is written `name=lo:hi[:log]`, e.g. `inner_num=2:20:log` or
 // `timing_tradeoff=0:1`, and a whole space is a comma-separated list of
 // such terms. The grammar lives here next to the other checked knob
-// parsers so every surface (CLI flag, MMFLOW_TUNE_KNOBS, tests) rejects
+// parsers so every surface (the `--tune-knobs` flag, tests) rejects
 // malformed specs identically — and, like the PR 5 parsers, every error
 // names the offending knob instead of silently degrading.
 

@@ -54,10 +54,7 @@ class AnnealSchedule {
   AnnealSchedule(const AnnealOptions& options, std::size_t num_blocks,
                  int max_range)
       : options_(options),
-        moves_per_temp_(std::max<std::int64_t>(
-            1, static_cast<std::int64_t>(
-                   options.inner_num *
-                   std::pow(static_cast<double>(num_blocks), 4.0 / 3.0)))),
+        moves_per_temp_(checked_moves(options.inner_num, num_blocks)),
         range_limit_(std::max(1, max_range)),
         max_range_(std::max(1, max_range)) {}
 
@@ -97,6 +94,19 @@ class AnnealSchedule {
   }
 
  private:
+  /// inner_num * N^(4/3) as a move count. A product past the int64 range
+  /// (or NaN) has no defined conversion — on x86 it becomes INT64_MIN and
+  /// would clamp to one move per temperature — so it is rejected.
+  static std::int64_t checked_moves(double inner_num, std::size_t num_blocks) {
+    const double moves =
+        inner_num * std::pow(static_cast<double>(num_blocks), 4.0 / 3.0);
+    MMFLOW_REQUIRE_MSG(std::fabs(moves) < 0x1p63,
+                       "annealing effort inner_num " << inner_num << " over "
+                           << num_blocks
+                           << " blocks overflows the moves per temperature");
+    return std::max<std::int64_t>(1, static_cast<std::int64_t>(moves));
+  }
+
   AnnealOptions options_;
   double temperature_ = 0.0;
   std::int64_t moves_per_temp_;

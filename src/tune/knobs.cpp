@@ -140,25 +140,4 @@ std::vector<double> KnobSpace::baseline_values(
   return out;
 }
 
-std::uint64_t KnobSpace::hash() const {
-  // FNV-1a over names and canonical range bits, like core::hash_flow_options.
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  for (const Knob& knob : knobs_) {
-    for (const char c : knob.name) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ULL;
-    }
-    mix(core::canonical_f64_bits(knob.lo));
-    mix(core::canonical_f64_bits(knob.hi));
-    mix(knob.log_scale ? 1 : 0);
-  }
-  return h;
-}
-
 }  // namespace mmflow::tune

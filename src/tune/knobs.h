@@ -18,7 +18,6 @@
 /// collide on a flow-cache or artifact-store entry — a hard requirement for
 /// the tuner's warm-rerun determinism contract (docs/TUNING.md).
 
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -73,11 +72,6 @@ class KnobSpace {
   /// The baseline's coordinates: each knob's current value in `base`.
   [[nodiscard]] std::vector<double> baseline_values(
       const core::FlowOptions& base) const;
-
-  /// Stable hash of the space (names, ranges, scales) — the trial ledger
-  /// stores it so a resume against a different space is detected instead of
-  /// silently replaying mismatched trials.
-  [[nodiscard]] std::uint64_t hash() const;
 
  private:
   std::vector<Knob> knobs_;

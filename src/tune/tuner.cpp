@@ -10,7 +10,6 @@
 #include "common/strings.h"
 #include "core/metrics.h"
 #include "core/timing.h"
-#include "tune/ledger.h"
 #include "tune/sampler.h"
 
 namespace mmflow::tune {
@@ -81,23 +80,6 @@ std::vector<int> nondominated_ranks(
   return rank;
 }
 
-/// FNV-1a accumulation helpers matching core::hash_flow_options's style.
-void mix_u64(std::uint64_t& h, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xff;
-    h *= 1099511628211ULL;
-  }
-}
-
-void mix_str(std::uint64_t& h, std::string_view s) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  h ^= 0xff;  // terminator: {"ab","c"} and {"a","bc"} must differ
-  h *= 1099511628211ULL;
-}
-
 /// Per-rung counter, e.g. "tune.rung2.trials". Dynamic name, so it goes
 /// through the registry directly instead of MMFLOW_PERF_ADD's cached-static
 /// fast path — rung boundaries are cold.
@@ -155,26 +137,6 @@ ObjectiveSet ObjectiveSet::parse(std::string_view spec,
   return set;
 }
 
-std::uint64_t tune_config_hash(const TuneOptions& options,
-                               const std::vector<TuneBenchmark>& benchmarks) {
-  std::uint64_t h = 1469598103934665603ULL;
-  mix_u64(h, options.seed);
-  mix_u64(h, static_cast<std::uint64_t>(options.budget));
-  const ObjectiveSet objectives =
-      options.objectives.names.empty() ? ObjectiveSet::defaults()
-                                       : options.objectives;
-  for (const std::string& name : objectives.names) mix_str(h, name);
-  const KnobSpace& space =
-      options.space.size() != 0 ? options.space : KnobSpace::defaults();
-  mix_u64(h, space.hash());
-  mix_u64(h, core::hash_flow_options(options.base));
-  for (const TuneBenchmark& bench : benchmarks) {
-    mix_str(h, bench.name);
-    mix_u64(h, core::hash_modes(*bench.modes));
-  }
-  return h;
-}
-
 TuneResult tune(const std::vector<TuneBenchmark>& benchmarks,
                 const TuneOptions& options) {
   MMFLOW_PERF_SCOPE("tune.total");
@@ -201,13 +163,6 @@ TuneResult tune(const std::vector<TuneBenchmark>& benchmarks,
   result.rungs = rungs;
 
   const KnobSampler sampler(space.size(), options.seed);
-
-  std::unique_ptr<TrialLedger> ledger;
-  if (!options.batch.cache_dir.empty()) {
-    const std::uint64_t config_hash = tune_config_hash(options, benchmarks);
-    ledger = std::make_unique<TrialLedger>(
-        TrialLedger::default_path(options.batch.cache_dir), config_hash);
-  }
 
   core::BatchDriver driver(options.batch);
 
@@ -247,38 +202,15 @@ TuneResult tune(const std::vector<TuneBenchmark>& benchmarks,
     std::vector<std::uint64_t> evaluating = cohort;
     if (last) evaluating.push_back(baseline_tag);
 
-    // Split the rung into ledger replays and flows to run.
-    std::vector<TuneTrial> rung_trials(evaluating.size());
-    std::vector<std::size_t> to_run;  // indices into `evaluating`
-    for (std::size_t i = 0; i < evaluating.size(); ++i) {
-      TuneTrial& trial = rung_trials[i];
-      trial.index = evaluating[i];
-      trial.rung = rung;
-      trial.knob_values = trial_values(evaluating[i]);
-      const TrialRecord* record =
-          ledger != nullptr ? ledger->find(evaluating[i], rung) : nullptr;
-      if (record != nullptr) {
-        trial.ok = record->ok;
-        trial.from_ledger = true;
-        trial.objectives = record->objectives;
-        trial.wall_ms = static_cast<double>(record->wall_ms);
-      } else {
-        to_run.push_back(i);
-      }
-    }
-    rung_counter_add(rung, "ledger_hits", evaluating.size() - to_run.size());
-    MMFLOW_PERF_ADD("tune.ledger_hits", evaluating.size() - to_run.size());
-
     // One config_sweep batch per benchmark, concatenated: job order — and
     // with it the result slots — is (trial, benchmark)-lexicographic, a
     // pure function of the schedule.
     std::vector<core::BatchJob> jobs;
-    for (const std::size_t i : to_run) {
-      std::vector<core::FlowOptions> configs{
-          trial_options(evaluating[i], rung)};
+    for (const std::uint64_t index : evaluating) {
+      std::vector<core::FlowOptions> configs{trial_options(index, rung)};
       const std::string label =
-          (evaluating[i] == baseline_tag ? std::string("baseline")
-                                         : "t" + std::to_string(evaluating[i])) +
+          (index == baseline_tag ? std::string("baseline")
+                                 : "t" + std::to_string(index)) +
           "r" + std::to_string(rung);
       for (const TuneBenchmark& bench : benchmarks) {
         std::vector<core::BatchJob> expanded =
@@ -286,14 +218,27 @@ TuneResult tune(const std::vector<TuneBenchmark>& benchmarks,
         jobs.insert(jobs.end(), expanded.begin(), expanded.end());
       }
     }
+    const std::uint64_t disk_hits_before =
+        perf::counter_value("flowcache.disk_hits");
+    const std::uint64_t mem_hits_before =
+        perf::counter_value("flowcache.experiment_hits");
     const std::vector<core::BatchResult> batch = driver.run(jobs);
+    rung_counter_add(rung, "disk_hits",
+                     perf::counter_value("flowcache.disk_hits") -
+                         disk_hits_before);
+    rung_counter_add(rung, "mem_hits",
+                     perf::counter_value("flowcache.experiment_hits") -
+                         mem_hits_before);
 
     // Aggregate each trial's per-benchmark results (mean over benchmarks).
-    for (std::size_t k = 0; k < to_run.size(); ++k) {
-      TuneTrial& trial = rung_trials[to_run[k]];
+    std::vector<TuneTrial> rung_trials(evaluating.size());
+    for (std::size_t k = 0; k < evaluating.size(); ++k) {
+      TuneTrial& trial = rung_trials[k];
+      trial.index = evaluating[k];
+      trial.rung = rung;
+      trial.knob_values = trial_values(trial.index);
       const core::FlowOptions flow = trial_options(trial.index, rung);
       bool ok = true;
-      bool deterministic_outcome = true;  // false: timeout/cancel — no ledger
       std::vector<double> sum(objectives.size(), 0.0);
       double wall_ms = 0.0;
       for (std::size_t b = 0; b < benchmarks.size(); ++b) {
@@ -301,9 +246,6 @@ TuneResult tune(const std::vector<TuneBenchmark>& benchmarks,
         wall_ms += job.wall_ms;
         if (job.outcome.status != core::JobStatus::Ok) {
           ok = false;
-          if (job.outcome.status != core::JobStatus::Failed) {
-            deterministic_outcome = false;
-          }
           continue;
         }
         const std::vector<double> obj = experiment_objectives(
@@ -318,43 +260,20 @@ TuneResult tune(const std::vector<TuneBenchmark>& benchmarks,
           trial.objectives[o] =
               sum[o] / static_cast<double>(benchmarks.size());
         }
-      }
-      if (!ok) {
+      } else {
         rung_counter_add(rung, "failures", 1);
         MMFLOW_PERF_ADD("tune.failures", 1);
-      }
-      if (ledger != nullptr && deterministic_outcome) {
-        TrialRecord record;
-        record.trial = trial.index;
-        record.rung = rung;
-        record.ok = trial.ok;
-        record.knob_values = trial.knob_values;
-        record.objectives = trial.objectives;
-        record.wall_ms = static_cast<std::uint64_t>(trial.wall_ms);
-        ledger->record(record);
       }
     }
     rung_counter_add(rung, "trials", evaluating.size());
     MMFLOW_PERF_ADD("tune.trials", evaluating.size());
-    // Cache-effectiveness snapshot: cumulative disk/memory hit totals at
-    // this rung boundary (benches diff successive rungs).
-    rung_counter_add(rung, "disk_hits",
-                     perf::counter_value("flowcache.disk_hits"));
-    rung_counter_add(rung, "mem_hits",
-                     perf::counter_value("flowcache.experiment_hits"));
 
     result.trials.insert(result.trials.end(), rung_trials.begin(),
                          rung_trials.end());
-    result.rungs_run = rung + 1;
 
     if (last) {
       final_rung = rung_trials;
       break;
-    }
-    if (rung == options.stop_after_rung) {
-      result.stopped_early = true;
-      MMFLOW_INFO("tune: stopping after rung " << rung << " (test hook)");
-      return result;
     }
 
     // Successive halving: survivors ranked by (non-dominated rank, trial

@@ -34,9 +34,9 @@
 /// benchmarks) produce a bit-identical trial schedule, bit-identical
 /// per-trial QoR and a bit-identical final front — for every `jobs` value,
 /// across cold/warm artifact-store reruns, and across a kill mid-run and a
-/// rerun on the same cache dir (the trial ledger replays completed rungs
-/// exactly). Wall times
-/// are the only field that varies.
+/// rerun on the same cache dir (finished trials are whole-experiment store
+/// hits, and their objectives are recomputed from the loaded experiment).
+/// Wall times are the only field that varies.
 
 #include <cstdint>
 #include <memory>
@@ -85,14 +85,10 @@ struct TuneOptions {
   KnobSpace space;          ///< empty = KnobSpace::defaults()
   core::FlowOptions base;   ///< baseline flow options (also the flow seed)
   /// How every trial batch runs; passed straight to the core::BatchDriver.
-  /// A non-empty `batch.cache_dir` also holds the trial ledger (ledger.h),
-  /// and every completed trial recorded there replays instead of rerunning.
-  /// None of these fields shapes the schedule.
+  /// With a non-empty `batch.cache_dir`, every trial whose experiment is
+  /// already in the artifact store loads instead of rerunning. None of
+  /// these fields shapes the schedule.
   core::BatchOptions batch;
-  /// Testing hook: return (as if killed) after this rung completes and is
-  /// ledgered; -1 = run to completion. The resume determinism test stops
-  /// after rung 0, then resumes in a fresh tuner and asserts bit-identity.
-  int stop_after_rung = -1;
 };
 
 /// One evaluation of one knob configuration at one rung.
@@ -100,7 +96,6 @@ struct TuneTrial {
   std::uint64_t index = 0;  ///< canonical trial index; `budget` = baseline
   int rung = 0;
   bool ok = false;
-  bool from_ledger = false;          ///< replayed, not recomputed
   std::vector<double> knob_values;   ///< concrete, one per knob
   std::vector<double> objectives;    ///< selected objectives; empty if !ok
   double wall_ms = 0.0;              ///< informational only
@@ -116,16 +111,8 @@ struct TuneResult {
   TuneTrial baseline;                       ///< full-fidelity default knobs
   std::vector<std::string> objective_names; ///< columns of `objectives`
   std::vector<std::string> knob_names;      ///< columns of `knob_values`
-  int rungs = 0;                            ///< rungs scheduled (R)
-  int rungs_run = 0;                        ///< rungs completed (< R iff stopped)
-  bool stopped_early = false;               ///< stop_after_rung tripped
+  int rungs = 0;                            ///< rungs run (R)
 };
-
-/// Stable hash of everything that shapes the schedule (seed, budget,
-/// objectives, knob space, base options, benchmark set) — the ledger's
-/// configuration guard.
-[[nodiscard]] std::uint64_t tune_config_hash(
-    const TuneOptions& options, const std::vector<TuneBenchmark>& benchmarks);
 
 /// Runs the search. Throws PreconditionError on an unusable configuration
 /// (no benchmarks, budget < 1); flow failures

@@ -178,40 +178,6 @@ TEST(Strings, ParseDouble) {
   EXPECT_THROW(parse_double("inf", "lambda"), PreconditionError);
 }
 
-TEST(Strings, TryParseU64IsNonThrowingButJustAsStrict) {
-  // The tune ledger's loader treats a malformed field as a torn line to
-  // skip, not a caller error — same strictness as parse_u64, bool instead
-  // of throw.
-  std::uint64_t value = 0;
-  EXPECT_TRUE(try_parse_u64("42", &value));
-  EXPECT_EQ(value, 42u);
-  EXPECT_TRUE(try_parse_u64("18446744073709551615", &value));
-  EXPECT_EQ(value, ~std::uint64_t{0});
-  EXPECT_TRUE(try_parse_u64(" 7 ", &value));
-  EXPECT_EQ(value, 7u);
-  EXPECT_FALSE(try_parse_u64("abc", &value));
-  EXPECT_FALSE(try_parse_u64("4x", &value));
-  EXPECT_FALSE(try_parse_u64("-1", &value));
-  EXPECT_FALSE(try_parse_u64("", &value));
-  EXPECT_FALSE(try_parse_u64("18446744073709551616", &value));  // 2^64
-  EXPECT_EQ(value, 7u);  // failures never clobber the output
-}
-
-TEST(Strings, TryParseHexAcceptsBareHexOnly) {
-  std::uint64_t u64 = 0;
-  EXPECT_TRUE(try_parse_hex_u64("00000000000000ff", &u64));
-  EXPECT_EQ(u64, 0xffu);
-  EXPECT_TRUE(try_parse_hex_u64("FFFFFFFFFFFFFFFF", &u64));
-  EXPECT_EQ(u64, ~std::uint64_t{0});
-  // The ledger writes fixed-width %016x fields: no 0x prefix, no sign,
-  // no junk. Everything else marks the record torn.
-  EXPECT_FALSE(try_parse_hex_u64("0xff", &u64));
-  EXPECT_FALSE(try_parse_hex_u64("-1", &u64));
-  EXPECT_FALSE(try_parse_hex_u64("ff ff", &u64));
-  EXPECT_FALSE(try_parse_hex_u64("", &u64));
-  EXPECT_FALSE(try_parse_hex_u64("10000000000000000", &u64));  // 65 bits
-}
-
 TEST(Check, ThrowsExpectedTypes) {
   EXPECT_THROW(MMFLOW_CHECK(false), InternalError);
   EXPECT_THROW(MMFLOW_REQUIRE(false), PreconditionError);

@@ -253,17 +253,18 @@ TEST(EdgeCases, CombinedPlaceSingleModeEdgeMatch) {
 
 TEST(EdgeCases, NonPositiveAnnealEffortIsRejected) {
   // The annealer would clamp these to one move per temperature and return
-  // an unannealed placement; the flow entry rejects them instead. A driver
-  // job must report the rejection in its own slot, with and without a
-  // cache dir, never on the worker thread.
+  // an unannealed placement; the flow entry rejects the non-positive ones
+  // and the annealing schedule the one whose move count overflows int64. A
+  // driver job must report the rejection in its own slot, with and without
+  // a cache dir, never on the worker thread.
   const auto modes =
       std::make_shared<const std::vector<techmap::LutCircuit>>(
           std::vector<techmap::LutCircuit>{solo_mode(), solo_mode()});
   const std::filesystem::path cache_dir =
       std::filesystem::temp_directory_path() /
       ("mmflow_edge_inner_" + std::to_string(::getpid()));
-  for (const double inner : {0.0, -1.0}) {
-    SCOPED_TRACE("inner_num=" + std::to_string(inner));
+  for (const double inner : {0.0, -1.0, 1e300}) {
+    SCOPED_TRACE(::testing::Message() << "inner_num=" << inner);
     core::FlowOptions options;
     options.anneal.inner_num = inner;
     EXPECT_THROW((void)core::run_experiment(*modes, options),

@@ -1,9 +1,9 @@
 /// Autotuner tests (docs/TUNING.md): Pareto-dominance property battery
 /// (strict partial order, minimal insertion-order-invariant fronts), the
 /// seeded low-discrepancy sampler, the knob space and objective-set
-/// parsers, the trial-ledger codec and its torn-line/config-guard
-/// robustness, and the tuner's determinism contract — bit-identical trial
-/// schedules and fronts across jobs values and across a kill + resume.
+/// parsers, and the tuner's determinism contract — bit-identical trial
+/// schedules and fronts across jobs values and across a kill + rerun on the
+/// same cache dir.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -11,16 +11,15 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "common/perf.h"
 #include "common/rng.h"
 #include "techmap/lutcircuit.h"
 #include "tune/knobs.h"
-#include "tune/ledger.h"
 #include "tune/pareto.h"
 #include "tune/sampler.h"
 #include "tune/tuner.h"
@@ -108,8 +107,7 @@ tune::TuneOptions fast_tune_options() {
 }
 
 /// Everything the determinism contract covers: schedule identity plus
-/// bit-identical knob values and objectives. wall_ms and from_ledger are
-/// explicitly exempt.
+/// bit-identical knob values and objectives. wall_ms is explicitly exempt.
 void expect_same_trials(const std::vector<tune::TuneTrial>& a,
                         const std::vector<tune::TuneTrial>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -305,17 +303,6 @@ TEST(KnobSpace, RejectsUnknownKnobNamingTheRegistry) {
   }
 }
 
-TEST(KnobSpace, HashCoversNamesRangesAndScale) {
-  const auto a = tune::KnobSpace::from_spec("inner_num=2:20", "t");
-  const auto b = tune::KnobSpace::from_spec("inner_num=2:20:log", "t");
-  const auto c = tune::KnobSpace::from_spec("inner_num=2:19", "t");
-  const auto d = tune::KnobSpace::from_spec("astar_fac=1:1.5", "t");
-  EXPECT_NE(a.hash(), b.hash());
-  EXPECT_NE(a.hash(), c.hash());
-  EXPECT_NE(a.hash(), d.hash());
-  EXPECT_EQ(a.hash(), tune::KnobSpace::from_spec("inner_num=2:20", "t").hash());
-}
-
 TEST(Objectives, ParseValidatesNamesAndWalltime) {
   const auto set = tune::ObjectiveSet::parse("frames,wirelength", "--tune-objectives");
   ASSERT_EQ(set.size(), 2u);
@@ -332,129 +319,6 @@ TEST(Objectives, ParseValidatesNamesAndWalltime) {
     EXPECT_NE(std::string(e.what()).find("non-deterministic"),
               std::string::npos);
   }
-}
-
-// ---------------------------------------------------------------- ledger --
-
-tune::TrialRecord sample_record() {
-  tune::TrialRecord record;
-  record.trial = 7;
-  record.rung = 2;
-  record.ok = true;
-  record.knob_values = {1.25, -0.0, 3.5e-7};
-  record.objectives = {1.1163, 44.5, 8968.0};
-  record.wall_ms = 1234;
-  return record;
-}
-
-TEST(TrialLedger, RecordCodecRoundTripsBitExactly) {
-  const auto record = sample_record();
-  const std::string line = tune::TrialLedger::format_record(0xabcdef12u, record);
-  std::uint64_t hash = 0;
-  tune::TrialRecord decoded;
-  ASSERT_TRUE(tune::TrialLedger::parse_record(line, hash, decoded));
-  EXPECT_EQ(hash, 0xabcdef12u);
-  EXPECT_EQ(decoded.trial, record.trial);
-  EXPECT_EQ(decoded.rung, record.rung);
-  EXPECT_EQ(decoded.ok, record.ok);
-  EXPECT_EQ(decoded.knob_values, record.knob_values);
-  EXPECT_EQ(decoded.objectives, record.objectives);
-  EXPECT_EQ(decoded.wall_ms, record.wall_ms);
-  // -0.0 must survive as -0.0 (bit identity, not value identity).
-  EXPECT_TRUE(std::signbit(decoded.knob_values[1]));
-
-  tune::TrialRecord failed = record;
-  failed.ok = false;
-  failed.objectives.clear();
-  const std::string failed_line = tune::TrialLedger::format_record(1, failed);
-  ASSERT_TRUE(tune::TrialLedger::parse_record(failed_line, hash, decoded));
-  EXPECT_FALSE(decoded.ok);
-  EXPECT_TRUE(decoded.objectives.empty());
-}
-
-TEST(TrialLedger, ParseRejectsMalformedLines) {
-  const std::string good =
-      tune::TrialLedger::format_record(42, sample_record());
-  std::uint64_t hash;
-  tune::TrialRecord record;
-  EXPECT_TRUE(tune::TrialLedger::parse_record(good, hash, record));
-  EXPECT_FALSE(tune::TrialLedger::parse_record("", hash, record));
-  EXPECT_FALSE(tune::TrialLedger::parse_record("garbage", hash, record));
-  EXPECT_FALSE(tune::TrialLedger::parse_record(
-      good.substr(0, good.size() / 2), hash, record));  // torn tail
-  EXPECT_FALSE(tune::TrialLedger::parse_record(good + " junk", hash, record));
-  // A trial index past 2^64 - 1 is junk, not a wrapped-around small index.
-  std::string overflow = good;
-  const auto trial_pos = overflow.find(" 7 2 ok ");
-  ASSERT_NE(trial_pos, std::string::npos);
-  overflow.replace(trial_pos, 2, " 18446744073709551617");
-  EXPECT_FALSE(tune::TrialLedger::parse_record(overflow, hash, record));
-  std::string wrong_tag = good;
-  wrong_tag[8] = 'X';
-  EXPECT_FALSE(tune::TrialLedger::parse_record(wrong_tag, hash, record));
-  // A failed record must not carry objectives.
-  std::string contradictory = good;
-  const auto pos = contradictory.find(" ok ");
-  ASSERT_NE(pos, std::string::npos);
-  contradictory.replace(pos, 4, " failed ");
-  EXPECT_FALSE(tune::TrialLedger::parse_record(contradictory, hash, record));
-}
-
-TEST(TrialLedger, SurvivesTornLinesAndForeignConfigs) {
-  TempDir dir;
-  const fs::path path = dir.path / "tune.log";
-  {
-    tune::TrialLedger ledger(path, 100);
-    ledger.record(sample_record());
-    tune::TrialRecord second = sample_record();
-    second.trial = 9;
-    ledger.record(second);
-  }
-  {
-    // A record from another configuration plus a torn tail (no newline).
-    tune::TrialLedger foreign(path, 999);
-    tune::TrialRecord other = sample_record();
-    other.trial = 11;
-    foreign.record(other);
-    std::ofstream os(path, std::ios::app);
-    os << tune::TrialLedger::format_record(100, sample_record()).substr(0, 20);
-  }
-  tune::TrialLedger reloaded(path, 100);
-  EXPECT_EQ(reloaded.size(), 2u);     // the two matching records survive
-  EXPECT_GE(reloaded.skipped(), 2u);  // foreign config + torn tail
-  ASSERT_NE(reloaded.find(7, 2), nullptr);
-  ASSERT_NE(reloaded.find(9, 2), nullptr);
-  EXPECT_EQ(reloaded.find(11, 2), nullptr);  // foreign config filtered
-  EXPECT_EQ(reloaded.find(7, 2)->objectives, sample_record().objectives);
-
-  // Cutting off the torn tail keeps later appends loadable.
-  tune::TrialRecord third = sample_record();
-  third.trial = 12;
-  reloaded.record(third);
-  tune::TrialLedger final_state(path, 100);
-  EXPECT_EQ(final_state.size(), 3u);
-
-  // A tail cut inside its last field (wall_ms 1234 -> 12) still parses, but
-  // a line without '\n' is torn by definition: it is dropped and cut off
-  // the file, so it is never replayed and the next record does not fuse
-  // onto it.
-  {
-    tune::TrialRecord torn = sample_record();
-    torn.trial = 13;
-    const std::string line = tune::TrialLedger::format_record(100, torn);
-    std::ofstream os(path, std::ios::app);
-    os << line.substr(0, line.size() - 2);
-  }
-  tune::TrialLedger cut(path, 100);
-  EXPECT_EQ(cut.size(), 3u);
-  EXPECT_EQ(cut.find(13, 2), nullptr);
-  tune::TrialRecord fourth = sample_record();
-  fourth.trial = 14;
-  cut.record(fourth);
-  tune::TrialLedger after_cut(path, 100);
-  EXPECT_EQ(after_cut.size(), 4u);
-  ASSERT_NE(after_cut.find(14, 2), nullptr);
-  EXPECT_EQ(after_cut.find(14, 2)->wall_ms, fourth.wall_ms);
 }
 
 // ------------------------------------------------------------ tuner runs --
@@ -481,57 +345,70 @@ TEST(Tuner, ScheduleAndFrontAreJobsInvariant) {
   }
 }
 
+/// Sum of the per-rung `tune.rung<N>.disk_hits` counters.
+std::uint64_t rung_disk_hits(int rungs) {
+  std::uint64_t sum = 0;
+  for (int rung = 0; rung < rungs; ++rung) {
+    sum += perf::counter_value("tune.rung" + std::to_string(rung) +
+                               ".disk_hits");
+  }
+  return sum;
+}
+
 TEST(Tuner, ResumeAfterKillMatchesUninterruptedRunBitIdentically) {
   const auto benchmarks = tiny_benchmarks(43);
 
   // Reference: uninterrupted, no persistence.
-  auto reference_options = fast_tune_options();
-  const auto reference = tune::tune(benchmarks, reference_options);
+  const auto reference = tune::tune(benchmarks, fast_tune_options());
 
-  // "First process": persists artifacts + ledger, dies after rung 0.
-  TempDir dir;
-  auto killed_options = fast_tune_options();
-  killed_options.batch.cache_dir = dir.path.string();
-  killed_options.stop_after_rung = 0;
-  const auto killed = tune::tune(benchmarks, killed_options);
-  EXPECT_TRUE(killed.stopped_early);
-  EXPECT_EQ(killed.rungs_run, 1);
-
-  // "Second process": fresh tuner on the same dir replays the ledger.
-  auto resumed_options = fast_tune_options();
-  resumed_options.batch.cache_dir = dir.path.string();
-  const auto resumed = tune::tune(benchmarks, resumed_options);
-
-  expect_same_trials(reference.trials, resumed.trials);
-  expect_same_trials(reference.front, resumed.front);
-  // Rung 0 came from the ledger, not from recomputation.
-  int replayed = 0;
-  for (const auto& trial : resumed.trials) {
-    if (trial.from_ledger) {
-      EXPECT_EQ(trial.rung, 0);
-      ++replayed;
-    }
-  }
-  EXPECT_EQ(replayed, 4);  // the whole rung-0 cohort
-}
-
-TEST(Tuner, LedgerConfigGuardForcesColdStartOnMismatch) {
-  const auto benchmarks = tiny_benchmarks(47);
+  // "First process": a full tune persists every experiment.
   TempDir dir;
   auto options = fast_tune_options();
   options.batch.cache_dir = dir.path.string();
-  options.stop_after_rung = 0;
   (void)tune::tune(benchmarks, options);
 
-  // Same ledger, different tune seed: every record must be filtered.
-  auto other = fast_tune_options();
-  other.batch.cache_dir = dir.path.string();
-  other.seed = options.seed + 1;
-  other.stop_after_rung = 0;
-  const auto rerun = tune::tune(benchmarks, other);
-  for (const auto& trial : rerun.trials) {
-    EXPECT_FALSE(trial.from_ledger);
+  // The kill: every other whole-experiment entry never got written. The
+  // sub-experiment entries (mdr/probes/routes) stay, as a killed job may
+  // leave them.
+  std::vector<fs::path> entries;
+  for (const auto& entry : fs::directory_iterator(dir.path / "experiments")) {
+    entries.push_back(entry.path());
   }
+  std::sort(entries.begin(), entries.end());
+  ASSERT_GE(entries.size(), 2u);
+  std::uint64_t deleted = 0;
+  for (std::size_t i = 0; i < entries.size(); i += 2, ++deleted) {
+    fs::remove(entries[i]);
+  }
+
+  // "Second process": a fresh tune on the same dir.
+  const std::uint64_t hits_before = perf::counter_value("flowcache.disk_hits");
+  const std::uint64_t writes_before =
+      perf::counter_value("flowcache.disk_writes");
+  const std::uint64_t rung_hits_before = rung_disk_hits(reference.rungs);
+  const auto resumed = tune::tune(benchmarks, options);
+  const std::uint64_t hits = perf::counter_value("flowcache.disk_hits") -
+                             hits_before;
+
+  expect_same_trials(reference.trials, resumed.trials);
+  expect_same_trials(reference.front, resumed.front);
+  // Surviving experiments loaded; exactly the deleted ones recomputed (on
+  // top of their stored sub-experiment entries) and rewritten.
+  EXPECT_GT(hits, 0u);
+  EXPECT_EQ(perf::counter_value("flowcache.disk_writes") - writes_before,
+            deleted);
+  // The per-rung splits add up to this tune's disk hits, not the process's.
+  EXPECT_EQ(rung_disk_hits(reference.rungs) - rung_hits_before, hits);
+
+  // A different tune on the same dir reuses only identical experiments, so
+  // it matches its own uncached run.
+  auto other = fast_tune_options();
+  other.seed = options.seed + 1;
+  const auto other_reference = tune::tune(benchmarks, other);
+  other.batch.cache_dir = dir.path.string();
+  const auto other_cached = tune::tune(benchmarks, other);
+  expect_same_trials(other_reference.trials, other_cached.trials);
+  expect_same_trials(other_reference.front, other_cached.front);
 }
 
 TEST(Tuner, ValidatesItsPreconditions) {

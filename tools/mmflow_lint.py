@@ -15,7 +15,7 @@ do:
                                it varies across standard libraries,
                                hash-seed choices and container histories.
                                Any such loop that feeds an FNV hash, a
-                               ledger record, or printed QoR is a latent
+                               store entry, or printed QoR is a latent
                                bit-identity break. Allowlist a
                                provably order-insensitive loop (e.g. a
                                commutative integer reduction) with
