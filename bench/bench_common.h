@@ -77,8 +77,8 @@ inline double env_double(const char* name, double fallback) {
 /// smoke diffs a clean run against a faulted one and needs stable schemas.
 inline void register_robustness_counters() {
   for (const char* name :
-       {"faults.injected", "batch.retries", "batch.timeouts",
-        "batch.cancelled", "flowcache.disk_write_errors"}) {
+       {"faults.injected", "batch.timeouts", "batch.cancelled",
+        "flowcache.disk_invalid", "flowcache.disk_write_errors"}) {
     perf::counter(name);
   }
 }
@@ -88,8 +88,8 @@ struct BenchConfig {
   double inner_num = 5.0;
   std::uint64_t seed = 1;
   double timing_tradeoff = 0.0;
-  /// How the bench driver runs jobs: MMFLOW_JOBS, MMFLOW_CACHE_DIR,
-  /// MMFLOW_JOB_RETRIES and MMFLOW_JOB_TIMEOUT_MS.
+  /// How the bench driver runs jobs: MMFLOW_JOBS, MMFLOW_CACHE_DIR and
+  /// MMFLOW_JOB_TIMEOUT_MS.
   core::BatchOptions batch;
 
   [[nodiscard]] static BenchConfig from_env() {
@@ -103,8 +103,6 @@ struct BenchConfig {
     if (const char* dir = std::getenv("MMFLOW_CACHE_DIR")) {
       config.batch.cache_dir = dir;
     }
-    config.batch.max_retries =
-        env_int("MMFLOW_JOB_RETRIES", config.batch.max_retries);
     config.batch.job_timeout_ms =
         env_int("MMFLOW_JOB_TIMEOUT_MS", config.batch.job_timeout_ms);
     register_robustness_counters();
@@ -155,8 +153,8 @@ inline core::BatchDriver& driver(const BenchConfig& config) {
 }
 
 /// Runs `jobs` on the bench driver and returns their experiments in
-/// submission order. A job that still fails after MMFLOW_JOB_RETRIES is
-/// fatal: it is named on stderr and the bench exits 1.
+/// submission order. A failed job is fatal: it is named on stderr and the
+/// bench exits 1.
 inline std::vector<std::shared_ptr<const core::MultiModeExperiment>> run_jobs(
     const BenchConfig& config, const std::vector<core::BatchJob>& jobs) {
   std::vector<std::shared_ptr<const core::MultiModeExperiment>> experiments;

@@ -15,8 +15,8 @@
 ///   mmflow_cli [options] mode0.blif mode1.blif [mode2.blif ...]
 ///   mmflow_cli [options] --suite=regexp|fir|mcnc|all
 /// Exit status: 0 when every job succeeded (and, with --verify-modes, every
-/// mode is PROVEN); 1 on a usage error or when a job still fails after
-/// --retries; 2 when a mode is FAILED.
+/// mode is PROVEN); 1 on a usage error or when a job fails; 2 when a mode
+/// is FAILED.
 /// Options:
 ///   --cost=wirelength|edgematch   combined-placement cost engine
 ///   --seed=N                      master seed (default 1)
@@ -41,13 +41,11 @@
 ///   --job-timeout-ms=N            per-job wall-clock deadline; an
 ///                                 over-deadline job is reported as
 ///                                 timed_out instead of hanging the run
-///   --retries=N                   re-run failed/timed-out jobs up to N
-///                                 extra times (bit-identical heal)
-///   --retry-backoff-ms=N          sleep N << (k-1) ms before retry k
 ///   --faults=SPEC                 arm deterministic fault injection (also
 ///                                 via $MMFLOW_FAULTS; --faults wins), e.g.
-///                                 store.read@2,batch.job~0.1/7 — see
-///                                 common/faults.h for grammar and sites
+///                                 store.read@2,store.write~0.1/7 — see
+///                                 common/faults.h for grammar and sites;
+///                                 an unknown site is a usage error
 ///   --k=N                         LUT size (default 4)
 ///   --report                      dump the parameterized configuration of
 ///                                 each input's best job
@@ -75,7 +73,7 @@
 ///                                 --tune-seed reproduces the front
 ///                                 bit-identically for every --jobs value
 ///                                 and across cache reruns. Combines with
-///                                 --jobs, --cache-dir, --retries, --faults.
+///                                 --jobs, --cache-dir, --faults.
 ///                                 The --tune-* options below require it
 ///   --tune-budget=N               distinct knob configurations sampled at
 ///                                 rung 0 (default 16)
@@ -127,7 +125,7 @@ void usage(const char* argv0) {
                "usage: %s [--cost=wirelength|edgematch] [--seed=N] "
                "[--seeds=N] [--jobs=K] [--inner=F] "
                "[--timing-tradeoff=F] [--cache-dir=PATH] "
-               "[--job-timeout-ms=N] [--retries=N] [--retry-backoff-ms=N] "
+               "[--job-timeout-ms=N] "
                "[--faults=SPEC] [--k=N] [--report] [--report-full] "
                "[--verify-modes] [--verify-cutoff=N] "
                "[--suite=regexp|fir|mcnc|all] [--pairs=N] "
@@ -165,16 +163,12 @@ void print_robustness_stats() {
     return static_cast<unsigned long long>(perf::counter_value(name));
   };
   const unsigned long long injected = value("faults.injected");
-  const unsigned long long retries = value("batch.retries");
   const unsigned long long timeouts = value("batch.timeouts");
   const unsigned long long cancelled = value("batch.cancelled");
-  if (!faults::enabled() && injected + retries + timeouts + cancelled == 0) {
-    return;
-  }
+  if (!faults::enabled() && injected + timeouts + cancelled == 0) return;
   std::printf(
-      "robustness: %llu faults injected, %llu retries, %llu timeouts, "
-      "%llu cancelled\n",
-      injected, retries, timeouts, cancelled);
+      "robustness: %llu faults injected, %llu timeouts, %llu cancelled\n",
+      injected, timeouts, cancelled);
 }
 
 /// Prints the equivalence-gate counters (docs/VERIFICATION.md).
@@ -291,10 +285,10 @@ int run_jobs(const std::vector<Input>& inputs,
   for (const auto& result : results) {
     name_width = std::max(name_width, static_cast<int>(result.name.size()));
   }
-  std::printf("\n%-*s | %-9s | %-2s | %-5s | %-12s | %-12s | %-12s | %-10s | %s\n",
-              name_width, "job", "status", "rt", "W", "DCS bits", "speed-up",
+  std::printf("\n%-*s | %-9s | %-5s | %-12s | %-12s | %-12s | %-10s | %s\n",
+              name_width, "job", "status", "W", "DCS bits", "speed-up",
               "wires vs MDR", "CP vs MDR", "wall ms");
-  std::printf("%s-+-----------+----+-------+--------------+--------------+"
+  std::printf("%s-+-----------+-------+--------------+--------------+"
               "--------------+------------+--------\n",
               std::string(static_cast<std::size_t>(name_width), '-').c_str());
   bool any_failed = false;
@@ -306,9 +300,9 @@ int run_jobs(const std::vector<Input>& inputs,
     const std::size_t input = j / static_cast<std::size_t>(seeds);
     if (!result.experiment) {
       any_failed = true;
-      std::printf("%-*s | %-9s | %2d | %s\n", name_width, result.name.c_str(),
+      std::printf("%-*s | %-9s | %s\n", name_width, result.name.c_str(),
                   core::to_string(result.outcome.status),
-                  result.outcome.retries, result.outcome.error_kind.c_str());
+                  result.outcome.error_kind.c_str());
       std::fprintf(stderr, "job %s %s: %s\n", result.name.c_str(),
                    core::to_string(result.outcome.status),
                    result.error.c_str());
@@ -320,10 +314,9 @@ int run_jobs(const std::vector<Input>& inputs,
     const auto timing =
         core::timing_report(*result.experiment, *inputs[input].modes);
     std::printf(
-        "%-*s | %-9s | %2d | %5d | %12llu | %11.2fx | %12.2f | %10.2f | "
-        "%7.0f\n",
+        "%-*s | %-9s | %5d | %12llu | %11.2fx | %12.2f | %10.2f | %7.0f\n",
         name_width, result.name.c_str(),
-        core::to_string(result.outcome.status), result.outcome.retries,
+        core::to_string(result.outcome.status),
         result.experiment->region.channel_width,
         static_cast<unsigned long long>(metrics.dcs_bits),
         metrics.dcs_speedup(), wl.mean_ratio(), timing.mean_ratio(),
@@ -534,19 +527,6 @@ int main(int argc, char** argv) {
         batch.job_timeout_ms = parse_int(arg.substr(17), "--job-timeout-ms");
         if (batch.job_timeout_ms < 0) {
           std::fprintf(stderr, "error: --job-timeout-ms must be >= 0\n");
-          return 1;
-        }
-      } else if (arg.rfind("--retries=", 0) == 0) {
-        batch.max_retries = parse_int(arg.substr(10), "--retries");
-        if (batch.max_retries < 0) {
-          std::fprintf(stderr, "error: --retries must be >= 0\n");
-          return 1;
-        }
-      } else if (arg.rfind("--retry-backoff-ms=", 0) == 0) {
-        batch.retry_backoff_ms =
-            parse_int(arg.substr(19), "--retry-backoff-ms");
-        if (batch.retry_backoff_ms < 0) {
-          std::fprintf(stderr, "error: --retry-backoff-ms must be >= 0\n");
           return 1;
         }
       } else if (arg.rfind("--faults=", 0) == 0) {

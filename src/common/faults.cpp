@@ -1,5 +1,6 @@
 #include "common/faults.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -105,6 +106,13 @@ void install(const std::string& spec, std::string_view what) {
       bad_spec(what, term, "no @ or ~ trigger");
     }
     if (site.empty()) bad_spec(what, term, "empty site name");
+    if (std::find(kSites.begin(), kSites.end(), site) == kSites.end()) {
+      std::ostringstream os;
+      os << what << ": unknown fault site '" << site << "' (shipped sites:";
+      for (const std::string_view known : kSites) os << ' ' << known;
+      os << ')';
+      throw PreconditionError(os.str());
+    }
     parsed.emplace(std::move(site), s);
   }
 

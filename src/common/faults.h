@@ -8,7 +8,8 @@
 /// (`--faults=`) and the benches (`MMFLOW_FAULTS`) arm named injection
 /// sites; armed sites throw `FaultInjected` on exactly the hits the spec
 /// selects, and the surrounding recovery machinery (artifact-store
-/// degradation, batch retries) must heal to bit-identical results.
+/// degradation to a counted miss or write error, then recomputation) must
+/// heal to bit-identical results.
 ///
 /// ## Spec grammar
 ///
@@ -20,16 +21,13 @@
 ///                 by hash(SEED, site, hit index) — fully deterministic and
 ///                 independent of thread scheduling
 ///
-/// e.g. `MMFLOW_FAULTS="store.read@2,store.write@1*,batch.job~0.25/7"`.
+/// e.g. `MMFLOW_FAULTS="store.read@2,store.write@1*,blif.parse~0.25/7"`.
 ///
 /// ## Sites
 ///
-/// Injection points call `faults::maybe_throw("name")`. The shipped sites:
-///
-///   store.read    ArtifactStore entry load (before deserializing)
-///   store.write   ArtifactStore commit (before the tmp write)
-///   batch.job     BatchDriver job body (before running the flow)
-///   blif.parse    BLIF ingestion (before parsing a file)
+/// Injection points call `faults::maybe_throw("name")`; `kSites` below
+/// lists the shipped sites, and a spec naming any other site is rejected,
+/// so a typo or a removed site can never arm nothing and pass silently.
 ///
 /// ## Determinism & cost
 ///
@@ -45,6 +43,7 @@
 /// faults before starting work); `maybe_throw` itself is safe from any
 /// number of threads.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
@@ -52,6 +51,15 @@
 #include <string_view>
 
 namespace mmflow::faults {
+
+/// The shipped injection sites, the only names a spec may arm:
+///
+///   store.read     ArtifactStore entry load (before deserializing)
+///   store.write    ArtifactStore commit (before the tmp write)
+///   blif.parse     BLIF ingestion (before parsing a file)
+///   verify.mutate  the verifier's mutation harness (src/verify/mutate.h)
+inline constexpr std::array<std::string_view, 4> kSites{
+    "store.read", "store.write", "blif.parse", "verify.mutate"};
 
 /// Thrown by an armed injection site. Deliberately a std::runtime_error so
 /// every recovery path that handles real I/O or job failures handles
@@ -68,7 +76,8 @@ void maybe_throw_slow(std::string_view site);
 
 /// Parses `spec` (see grammar above) and replaces the installed config.
 /// An empty spec disarms everything. Throws PreconditionError on malformed
-/// terms, naming `what` (e.g. "--faults" or "MMFLOW_FAULTS").
+/// terms and on sites not in `kSites`, naming `what` (e.g. "--faults" or
+/// "MMFLOW_FAULTS").
 void install(const std::string& spec, std::string_view what = "faults spec");
 
 /// Installs from the MMFLOW_FAULTS environment variable (no-op if unset).

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "common/check.h"
-#include "common/faults.h"
 #include "common/perf.h"
 #include "core/artifact_store.h"
 
@@ -25,14 +24,11 @@ const char* to_string(JobStatus status) {
 
 namespace {
 
-/// Maps an attempt's exception to the JobOutcome::error_kind vocabulary.
+/// Maps a job's exception to the JobOutcome::error_kind vocabulary.
 /// Order matters only for documentation; the types are disjoint.
 const char* classify_error(const std::exception& e) {
   if (dynamic_cast<const CancelledError*>(&e) != nullptr) return "cancelled";
   if (dynamic_cast<const TimeoutError*>(&e) != nullptr) return "timeout";
-  if (dynamic_cast<const faults::FaultInjected*>(&e) != nullptr) {
-    return "fault_injected";
-  }
   if (dynamic_cast<const ParseError*>(&e) != nullptr) return "parse";
   if (dynamic_cast<const PreconditionError*>(&e) != nullptr) {
     return "precondition";
@@ -140,53 +136,31 @@ std::vector<BatchResult> BatchDriver::run(const std::vector<BatchJob>& jobs) {
     out.engine = job.options.cost_engine;
     const auto start = std::chrono::steady_clock::now();
 
-    for (int attempt = 0;; ++attempt) {
-      try {
-        MMFLOW_REQUIRE_MSG(job.modes != nullptr,
-                           "batch job '" << job.name << "' has no modes");
-        // Per-attempt deadline token, chained to the batch-wide cancel: one
-        // cancel() stops every job; a deadline trips only this attempt.
-        CancelToken token(options_.cancel);
-        if (options_.job_timeout_ms > 0) {
-          token.set_timeout(std::chrono::milliseconds(options_.job_timeout_ms));
-        }
-        FlowOptions opts = job.options;
-        opts.cancel = &token;
-        faults::maybe_throw("batch.job");
-        // Zero-copy: the result *is* the cache's immutable entry.
-        out.experiment = run_experiment_shared(*job.modes, opts, ctx);
-        out.error.clear();
-        out.outcome.status = JobStatus::Ok;
-        out.outcome.error_kind.clear();
-        break;
-      } catch (const std::exception& e) {
-        out.error = e.what();
-        out.outcome.error_kind = classify_error(e);
-        MMFLOW_PERF_ADD("batch.job_failures", 1);
-        const bool cancelled = out.outcome.error_kind == "cancelled";
-        if (cancelled) {
-          // An explicit stop is final: retrying would defeat the cancel.
-          out.outcome.status = JobStatus::Cancelled;
-          MMFLOW_PERF_ADD("batch.cancelled", 1);
-          break;
-        }
-        if (out.outcome.error_kind == "timeout") {
-          MMFLOW_PERF_ADD("batch.timeouts", 1);
-        }
-        if (attempt >= options_.max_retries) {
-          out.outcome.status = out.outcome.error_kind == "timeout"
-                                   ? JobStatus::TimedOut
-                                   : JobStatus::Failed;
-          break;
-        }
-        // Purity makes the retry safe: a healed attempt recomputes the
-        // exact bytes the failed one would have produced.
-        out.outcome.retries = attempt + 1;
-        MMFLOW_PERF_ADD("batch.retries", 1);
-        if (options_.retry_backoff_ms > 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(
-              options_.retry_backoff_ms << std::min(attempt, 20)));
-        }
+    try {
+      MMFLOW_REQUIRE_MSG(job.modes != nullptr,
+                         "batch job '" << job.name << "' has no modes");
+      // Per-job deadline token, chained to the batch-wide cancel: one
+      // cancel() stops every job; a deadline trips only this job.
+      CancelToken token(options_.cancel);
+      if (options_.job_timeout_ms > 0) {
+        token.set_timeout(std::chrono::milliseconds(options_.job_timeout_ms));
+      }
+      FlowOptions opts = job.options;
+      opts.cancel = &token;
+      // Zero-copy: the result *is* the cache's immutable entry.
+      out.experiment = run_experiment_shared(*job.modes, opts, ctx);
+    } catch (const std::exception& e) {
+      out.error = e.what();
+      out.outcome.error_kind = classify_error(e);
+      MMFLOW_PERF_ADD("batch.job_failures", 1);
+      if (out.outcome.error_kind == "cancelled") {
+        out.outcome.status = JobStatus::Cancelled;
+        MMFLOW_PERF_ADD("batch.cancelled", 1);
+      } else if (out.outcome.error_kind == "timeout") {
+        out.outcome.status = JobStatus::TimedOut;
+        MMFLOW_PERF_ADD("batch.timeouts", 1);
+      } else {
+        out.outcome.status = JobStatus::Failed;
       }
     }
     out.wall_ms = std::chrono::duration_cast<

@@ -29,20 +29,20 @@
 /// a job are captured into its result slot (`error` + `outcome`), not
 /// propagated, so one unroutable circuit cannot tear down a sweep.
 ///
-/// ## Fault tolerance (PR 6)
+/// ## Fault tolerance
 ///
-/// The same purity makes recovery trivial: re-running a failed job is
-/// guaranteed to produce the bytes the failed attempt would have — so
-/// `max_retries` heals transient faults (injected or real) with zero QoR
-/// drift, a per-job `job_timeout_ms` deadline turns a wedged search into a
-/// reported `JobStatus::TimedOut` row instead of a hung sweep, and a
-/// batch-wide `CancelToken` stops every in-flight job at its next annealer
-/// epoch / PathFinder iteration. All of it is cooperative — no thread is
-/// ever killed, and a job unwinds by exception *before* any cache or store
-/// write, so an aborted attempt leaves no partial artifacts. With a
-/// `cache_dir`, a killed sweep resumes by rerunning it on the same
-/// directory: the jobs the dead process finished replay from the artifact
-/// store as disk hits, and only the rest are recomputed. See
+/// Each job runs exactly once: a job is a pure function of (modes,
+/// options), so the store sites heal their own faults (a faulted read is a
+/// counted miss that recomputes, a faulted write a counted write error) and
+/// there is nothing a re-run could add. A per-job `job_timeout_ms` deadline
+/// turns a wedged search into a reported `JobStatus::TimedOut` row instead
+/// of a hung sweep, and a batch-wide `CancelToken` stops every in-flight
+/// job at its next annealer epoch / PathFinder iteration. Both are
+/// cooperative — no thread is ever killed, and a job unwinds by exception
+/// *before* any cache or store write, so an aborted job leaves no partial
+/// artifacts. With a `cache_dir`, a killed sweep resumes by rerunning it on
+/// the same directory: the jobs the dead process finished replay from the
+/// artifact store as disk hits, and only the rest are recomputed. See
 /// docs/ROBUSTNESS.md.
 ///
 /// ## Ownership & thread-safety
@@ -92,25 +92,17 @@ struct BatchOptions {
   /// over-deadline job unwinds cleanly (no partial cache writes) and lands
   /// as a `JobStatus::TimedOut` row without disturbing its siblings.
   int job_timeout_ms = 0;
-  /// Failed or timed-out attempts are re-run up to this many extra times.
-  /// Results are a pure function of (modes, options), so a retry that
-  /// succeeds is bit-identical to a first-attempt success — retries heal
-  /// transient faults with zero QoR drift. Cancelled jobs never retry.
-  int max_retries = 0;
-  /// Sleep before retry k (1-based) is `retry_backoff_ms << (k - 1)`;
-  /// 0 disables the backoff sleep.
-  int retry_backoff_ms = 0;
   /// Optional batch-wide cancellation: trip it from any thread and every
   /// in-flight job unwinds at its next poll as `JobStatus::Cancelled`;
   /// queued jobs fail fast the same way. Not owned; may be null.
   const CancelToken* cancel = nullptr;
 };
 
-/// Terminal state of one job after all attempts.
+/// Terminal state of one job.
 enum class JobStatus : std::uint8_t {
-  Ok,         ///< experiment produced (possibly after retries)
-  Failed,     ///< every attempt threw a non-timeout, non-cancel error
-  TimedOut,   ///< last attempt exceeded `job_timeout_ms`
+  Ok,         ///< experiment produced
+  Failed,     ///< the job threw a non-timeout, non-cancel error
+  TimedOut,   ///< the job exceeded `job_timeout_ms`
   Cancelled,  ///< batch-wide cancel tripped during the job
 };
 
@@ -118,14 +110,13 @@ enum class JobStatus : std::uint8_t {
 /// "cancelled").
 [[nodiscard]] const char* to_string(JobStatus status);
 
-/// Structured account of how a job's attempts went; `BatchResult::error`
-/// carries the last attempt's message when `status != Ok`.
+/// Structured account of how a job went; `BatchResult::error` carries the
+/// exception message when `status != Ok`.
 struct JobOutcome {
   JobStatus status = JobStatus::Ok;
-  int retries = 0;  ///< re-runs consumed (0 = first attempt decided)
-  /// Classification of the last error: "timeout", "cancelled",
-  /// "fault_injected", "parse", "precondition", "internal" or "runtime";
-  /// empty when the job succeeded.
+  /// Classification of the error: "timeout", "cancelled", "parse",
+  /// "precondition", "internal" or "runtime"; empty when the job
+  /// succeeded.
   std::string error_kind;
 };
 
