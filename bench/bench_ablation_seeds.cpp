@@ -12,7 +12,7 @@
 /// with the cache counters — this is the CI batch smoke bench.
 ///
 /// It is also the CI *chaos* smoke vehicle: rerun on a warm MMFLOW_CACHE_DIR
-/// with MMFLOW_FAULTS armed, a faulted store read is a counted miss that
+/// with corrupted entries, a bad store read is a counted miss that
 /// recomputes, and the QoR rows must be bit-identical to the clean run
 /// (docs/ROBUSTNESS.md) — only the `outcome_ok` field and wall time may
 /// differ.
@@ -73,7 +73,7 @@ int main() {
         {"total_conns", static_cast<double>(record.total_conns)},
         {"channel_width", static_cast<double>(record.channel_width)},
         {"wall_ms", result.wall_ms},
-        // Fault-tolerance field (docs/ROBUSTNESS.md): under MMFLOW_FAULTS
+        // Fault-tolerance field (docs/ROBUSTNESS.md): on a corrupted store
         // the chaos smoke asserts it stays 1 and the QoR fields above stay
         // bit-identical.
         {"outcome_ok", result.outcome.status == core::JobStatus::Ok ? 1.0 : 0.0},

@@ -18,7 +18,8 @@
 /// Numeric knobs are parsed with the checked parsers of common/strings.h: a
 /// malformed value (e.g. MMFLOW_JOBS=abc, which std::atoi would silently
 /// read as 0 workers) prints the offending knob and exits instead of
-/// running with a garbage configuration.
+/// running with a garbage configuration. A well-formed value the library
+/// rejects (e.g. MMFLOW_JOBS=-2) exits the same way (`knob_or_exit`).
 
 #include <cmath>
 #include <cstdint>
@@ -32,7 +33,6 @@
 #include <vector>
 
 #include "apps/suites.h"
-#include "common/faults.h"
 #include "common/log.h"
 #include "common/perf.h"
 #include "common/stats.h"
@@ -72,13 +72,27 @@ inline double env_double(const char* name, double fallback) {
   return env_knob(name, fallback, parse_double);
 }
 
+/// Runs `make`, which applies knob values to a library call; a
+/// PreconditionError (the library's own rule for those values) is reported
+/// like a malformed knob: `knobs` named on stderr, exit status 2.
+template <typename Make>
+auto knob_or_exit(const std::string& knobs, const Make& make) {
+  try {
+    return make();
+  } catch (const PreconditionError& e) {
+    std::fprintf(stderr, "error: %s: %s\n", knobs.c_str(), e.what());
+    std::exit(2);
+  }
+}
+
 /// Registers the fault-tolerance counters up front so every bench JSON
-/// carries the same perf keys whether or not a fault ever fired — the chaos
-/// smoke diffs a clean run against a faulted one and needs stable schemas.
+/// carries the same perf keys whether or not a failure ever happened — the
+/// chaos smoke diffs a clean run against one on a corrupted store and needs
+/// stable schemas.
 inline void register_robustness_counters() {
   for (const char* name :
-       {"faults.injected", "batch.timeouts", "batch.cancelled",
-        "flowcache.disk_invalid", "flowcache.disk_write_errors"}) {
+       {"batch.timeouts", "batch.cancelled", "flowcache.disk_invalid",
+        "flowcache.disk_write_errors"}) {
     perf::counter(name);
   }
 }
@@ -106,14 +120,6 @@ struct BenchConfig {
     config.batch.job_timeout_ms =
         env_int("MMFLOW_JOB_TIMEOUT_MS", config.batch.job_timeout_ms);
     register_robustness_counters();
-    // Arm chaos mode if MMFLOW_FAULTS is set; a malformed spec is reported
-    // like any other bad knob.
-    try {
-      faults::install_from_env();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      std::exit(2);
-    }
     return config;
   }
 
@@ -148,7 +154,11 @@ struct BenchConfig {
 /// rerun in a fresh process replays the cached experiments as disk hits
 /// with bit-identical QoR (the CI persistent-cache smoke asserts this).
 inline core::BatchDriver& driver(const BenchConfig& config) {
-  static core::BatchDriver instance(config.batch);
+  static core::BatchDriver instance =
+      knob_or_exit("MMFLOW_JOBS=" + std::to_string(config.batch.jobs) +
+                       ", MMFLOW_JOB_TIMEOUT_MS=" +
+                       std::to_string(config.batch.job_timeout_ms),
+                   [&] { return core::BatchDriver(config.batch); });
   return instance;
 }
 
@@ -191,11 +201,15 @@ struct ExperimentRecord {
 
 inline std::vector<apps::MultiModeBenchmark> build_suite(
     const std::string& suite, const BenchConfig& config) {
-  const auto options = config.suite_options();
-  if (suite == "RegExp") return apps::regexp_suite(options);
-  if (suite == "FIR") return apps::fir_suite(options);
-  if (suite == "MCNC") return apps::mcnc_suite(options);
-  throw PreconditionError("unknown suite " + suite);
+  using Builder =
+      std::vector<apps::MultiModeBenchmark> (*)(const apps::SuiteOptions&);
+  const Builder build = suite == "RegExp" ? apps::regexp_suite
+                        : suite == "FIR"  ? apps::fir_suite
+                        : suite == "MCNC" ? apps::mcnc_suite
+                                          : nullptr;
+  if (build == nullptr) throw PreconditionError("unknown suite " + suite);
+  return knob_or_exit("MMFLOW_PAIRS=" + std::to_string(config.pairs),
+                      [&] { return build(config.suite_options()); });
 }
 
 /// Extracts the bench-level record from a finished experiment.

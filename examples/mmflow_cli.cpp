@@ -41,11 +41,6 @@
 ///   --job-timeout-ms=N            per-job wall-clock deadline; an
 ///                                 over-deadline job is reported as
 ///                                 timed_out instead of hanging the run
-///   --faults=SPEC                 arm deterministic fault injection (also
-///                                 via $MMFLOW_FAULTS; --faults wins), e.g.
-///                                 store.read@2,store.write~0.1/7 — see
-///                                 common/faults.h for grammar and sites;
-///                                 an unknown site is a usage error
 ///   --k=N                         LUT size (default 4)
 ///   --report                      dump the parameterized configuration of
 ///                                 each input's best job
@@ -73,7 +68,7 @@
 ///                                 --tune-seed reproduces the front
 ///                                 bit-identically for every --jobs value
 ///                                 and across cache reruns. Combines with
-///                                 --jobs, --cache-dir, --faults.
+///                                 --jobs, --cache-dir.
 ///                                 The --tune-* options below require it
 ///   --tune-budget=N               distinct knob configurations sampled at
 ///                                 rung 0 (default 16)
@@ -104,7 +99,6 @@
 
 #include "apps/mcnc/mcnc.h"
 #include "apps/suites.h"
-#include "common/faults.h"
 #include "common/log.h"
 #include "common/perf.h"
 #include "common/strings.h"
@@ -126,7 +120,7 @@ void usage(const char* argv0) {
                "[--seeds=N] [--jobs=K] [--inner=F] "
                "[--timing-tradeoff=F] [--cache-dir=PATH] "
                "[--job-timeout-ms=N] "
-               "[--faults=SPEC] [--k=N] [--report] [--report-full] "
+               "[--k=N] [--report] [--report-full] "
                "[--verify-modes] [--verify-cutoff=N] "
                "[--suite=regexp|fir|mcnc|all] [--pairs=N] "
                "[--tune] [--tune-budget=N] [--tune-seed=S] "
@@ -157,18 +151,16 @@ void print_cache_stats(const std::string& cache_dir) {
 }
 
 /// Prints the fault-tolerance counters (docs/ROBUSTNESS.md) whenever any of
-/// them is non-zero or fault injection is armed — quiet runs stay quiet.
+/// them is non-zero — quiet runs stay quiet.
 void print_robustness_stats() {
   const auto value = [](const char* name) {
     return static_cast<unsigned long long>(perf::counter_value(name));
   };
-  const unsigned long long injected = value("faults.injected");
   const unsigned long long timeouts = value("batch.timeouts");
   const unsigned long long cancelled = value("batch.cancelled");
-  if (!faults::enabled() && injected + timeouts + cancelled == 0) return;
-  std::printf(
-      "robustness: %llu faults injected, %llu timeouts, %llu cancelled\n",
-      injected, timeouts, cancelled);
+  if (timeouts + cancelled == 0) return;
+  std::printf("robustness: %llu timeouts, %llu cancelled\n", timeouts,
+              cancelled);
 }
 
 /// Prints the equivalence-gate counters (docs/VERIFICATION.md).
@@ -471,7 +463,6 @@ int main(int argc, char** argv) {
   int seeds = 1;
   core::BatchOptions batch;
   if (const char* dir = std::getenv("MMFLOW_CACHE_DIR")) batch.cache_dir = dir;
-  std::string fault_spec;  // --faults; overrides $MMFLOW_FAULTS
   bool report = false;
   bool report_full = false;
   bool verify_modes = false;
@@ -508,10 +499,6 @@ int main(int argc, char** argv) {
         }
       } else if (arg.rfind("--jobs=", 0) == 0) {
         batch.jobs = parse_int(arg.substr(7), "--jobs");
-        if (batch.jobs < 0) {
-          std::fprintf(stderr, "error: --jobs must be >= 0\n");
-          return 1;
-        }
       } else if (arg.rfind("--inner=", 0) == 0) {
         options.anneal.inner_num = parse_double(arg.substr(8), "--inner");
       } else if (arg.rfind("--timing-tradeoff=", 0) == 0) {
@@ -525,12 +512,6 @@ int main(int argc, char** argv) {
         batch.cache_dir = arg.substr(12);
       } else if (arg.rfind("--job-timeout-ms=", 0) == 0) {
         batch.job_timeout_ms = parse_int(arg.substr(17), "--job-timeout-ms");
-        if (batch.job_timeout_ms < 0) {
-          std::fprintf(stderr, "error: --job-timeout-ms must be >= 0\n");
-          return 1;
-        }
-      } else if (arg.rfind("--faults=", 0) == 0) {
-        fault_spec = arg.substr(9);
       } else if (arg.rfind("--k=", 0) == 0) {
         k = parse_int(arg.substr(4), "--k");
       } else if (arg == "--verify-modes") {
@@ -552,10 +533,6 @@ int main(int argc, char** argv) {
         }
       } else if (arg.rfind("--pairs=", 0) == 0) {
         limit_pairs = parse_int(arg.substr(8), "--pairs");
-        if (limit_pairs < 0) {
-          std::fprintf(stderr, "error: --pairs must be >= 0\n");
-          return 1;
-        }
       } else if (arg == "--tune") {
         tune_mode = true;
       } else if (arg.rfind("--tune-budget=", 0) == 0) {
@@ -606,19 +583,6 @@ int main(int argc, char** argv) {
   }
   if (tune_flags && !tune_mode) {
     std::fprintf(stderr, "error: --tune-* options require --tune\n");
-    return 1;
-  }
-
-  try {
-    // Arm fault injection before any flow work so hit counting starts at
-    // the first injection site. The explicit flag wins over the env var.
-    if (!fault_spec.empty()) {
-      faults::install(fault_spec, "--faults");
-    } else {
-      faults::install_from_env();
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
 

@@ -35,9 +35,16 @@ std::vector<MultiModeBenchmark> all_pairs(
   return out;
 }
 
+void require_valid(const SuiteOptions& options) {
+  MMFLOW_REQUIRE_MSG(options.limit_pairs >= 0,
+                     "SuiteOptions::limit_pairs must be >= 0 (0 = full "
+                     "suite), got " << options.limit_pairs);
+}
+
 }  // namespace
 
 std::vector<MultiModeBenchmark> regexp_suite(const SuiteOptions& options) {
+  require_valid(options);
   std::vector<techmap::LutCircuit> bases;
   const auto& rules = regexp::bleeding_edge_style_rules();
   for (std::size_t r = 0; r < rules.size(); ++r) {
@@ -58,6 +65,7 @@ fir::FirSpec suite_fir_spec() {
 }
 
 std::vector<MultiModeBenchmark> fir_suite(const SuiteOptions& options) {
+  require_valid(options);
   const fir::FirSpec spec = suite_fir_spec();
   const netlist::Netlist generic = fir::generic_fir(spec);
 
@@ -93,6 +101,7 @@ std::vector<MultiModeBenchmark> fir_suite(const SuiteOptions& options) {
 }
 
 std::vector<MultiModeBenchmark> mcnc_suite(const SuiteOptions& options) {
+  require_valid(options);
   std::vector<techmap::LutCircuit> bases;
   const auto& sizes = mcnc::paper_clone_sizes();
   for (std::size_t i = 0; i < sizes.size(); ++i) {

@@ -24,7 +24,7 @@ struct SuiteOptions {
   std::uint64_t seed = 1;
   int k = 4;
   /// Use only the first N base circuits / pairs (speeds up smoke runs);
-  /// 0 = full suite.
+  /// 0 = full suite; the suite builders reject a negative value.
   int limit_pairs = 0;
 };
 

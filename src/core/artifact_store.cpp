@@ -10,7 +10,6 @@
 #include <string>
 #include <utility>
 
-#include "common/faults.h"
 #include "common/log.h"
 #include "common/perf.h"
 
@@ -635,9 +634,6 @@ std::optional<T> load_entry(const std::filesystem::path& root, int kind,
     bytes = std::move(buffer).str();
   }
   try {
-    // Chaos hook: an injected read fault lands in this catch like any real
-    // corruption would, exercising the degrade-to-miss path end to end.
-    faults::maybe_throw("store.read");
     Reader r{bytes.data(), bytes.size(), 0};
     check_header(r, kind, key);
     T value = read_payload(r);
@@ -680,18 +676,6 @@ ArtifactStore::ArtifactStore(std::filesystem::path root)
 
 bool ArtifactStore::commit(int kind, const FlowKey& key,
                            const std::string& payload) {
-  if (faults::enabled()) {
-    // Chaos hook for disk-full/unwritable-media: an injected write fault is
-    // absorbed here exactly like a failed stream below — counted, warned,
-    // never thrown (the flow simply loses the write-behind).
-    try {
-      faults::maybe_throw("store.write");
-    } catch (const faults::FaultInjected& e) {
-      MMFLOW_PERF_ADD("flowcache.disk_write_errors", 1);
-      MMFLOW_WARN("artifact store: " << e.what());
-      return false;
-    }
-  }
   Writer entry;
   write_header(entry, kind, key, payload);
   entry.bytes.append(payload);

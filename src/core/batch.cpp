@@ -38,7 +38,7 @@ const char* classify_error(const std::exception& e) {
 }
 
 /// Worker threads for a `BatchOptions::jobs` value: values >= 1 pass
-/// through, 0 (or negative) means one per hardware thread, at least 1.
+/// through, 0 means one per hardware thread, at least 1.
 std::size_t resolve_jobs(int jobs) {
   if (jobs >= 1) return static_cast<std::size_t>(jobs);
   return std::max(1u, std::thread::hardware_concurrency());
@@ -106,6 +106,12 @@ std::vector<BatchJob> config_sweep(
 }
 
 BatchDriver::BatchDriver(const BatchOptions& options) : options_(options) {
+  MMFLOW_REQUIRE_MSG(options_.jobs >= 0,
+                     "BatchOptions::jobs must be >= 0 (0 = one per hardware "
+                     "thread), got " << options_.jobs);
+  MMFLOW_REQUIRE_MSG(options_.job_timeout_ms >= 0,
+                     "BatchOptions::job_timeout_ms must be >= 0 (0 = none), "
+                     "got " << options_.job_timeout_ms);
   if (options_.use_cache && !options_.cache_dir.empty()) {
     cache_.attach_store(std::make_shared<ArtifactStore>(options_.cache_dir));
   }

@@ -32,8 +32,8 @@
 /// ## Fault tolerance
 ///
 /// Each job runs exactly once: a job is a pure function of (modes,
-/// options), so the store sites heal their own faults (a faulted read is a
-/// counted miss that recomputes, a faulted write a counted write error) and
+/// options), so the artifact store heals its own failures (a bad entry is a
+/// counted miss that recomputes, a failed write a counted write error) and
 /// there is nothing a re-run could add. A per-job `job_timeout_ms` deadline
 /// turns a wedged search into a reported `JobStatus::TimedOut` row instead
 /// of a hung sweep, and a batch-wide `CancelToken` stops every in-flight
@@ -75,6 +75,7 @@ struct BatchJob {
 
 struct BatchOptions {
   /// Worker threads; 0 = one per hardware thread (capped by the job count).
+  /// The driver's constructor rejects a negative value.
   /// Jobs always share one immutable RoutingGraph per (arch, width).
   int jobs = 1;
   /// Memoize flow artifacts across jobs (see core/flows.h for granularity).
@@ -86,7 +87,8 @@ struct BatchOptions {
   /// shard on another machine sharing the directory — starts warm. See
   /// docs/CACHING.md.
   std::string cache_dir;
-  /// Per-job wall-clock deadline in milliseconds; 0 = none. Cooperative:
+  /// Per-job wall-clock deadline in milliseconds; 0 = none, negative is
+  /// rejected by the driver's constructor. Cooperative:
   /// the driver plants a deadline `CancelToken` in the job's FlowOptions,
   /// polled at annealer-epoch and PathFinder-iteration boundaries, so an
   /// over-deadline job unwinds cleanly (no partial cache writes) and lands

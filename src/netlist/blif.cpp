@@ -4,7 +4,6 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "common/faults.h"
 #include "common/strings.h"
 
 namespace mmflow::netlist {
@@ -306,10 +305,6 @@ Netlist parse_blif(const std::string& text, const std::string& source_name) {
 }
 
 Netlist read_blif_file(const std::string& path) {
-  // Chaos hook: the BLIF-ingestion fault site (docs/ROBUSTNESS.md). The
-  // FaultInjected propagates like a real read failure would — callers that
-  // tolerate unreadable inputs must tolerate injected ones identically.
-  faults::maybe_throw("blif.parse");
   std::ifstream in(path, std::ios::binary);
   if (!in) throw BlifParseError(path, 0, "cannot open BLIF file");
   std::ostringstream buffer;

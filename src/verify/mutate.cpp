@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/faults.h"
 #include "verify/verify.h"
 
 namespace mmflow::verify {
@@ -131,21 +130,14 @@ bool mutation_is_observable(const TunableCircuit& tunable,
                                        /*rounds=*/8, sim_seed);
 }
 
-std::optional<MutationPoint> inject_mutation(
-    TunableCircuit& tunable, const std::vector<LutCircuit>& pristine,
-    std::uint64_t sim_seed) {
+MutationPoint inject_mutation(TunableCircuit& tunable,
+                              const std::vector<LutCircuit>& pristine,
+                              std::size_t start, std::uint64_t sim_seed) {
   const std::vector<MutationPoint> points = enumerate_mutation_points(tunable);
-  std::size_t start = points.size();
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    try {
-      faults::maybe_throw(kMutateFaultSite);
-    } catch (const faults::FaultInjected&) {
-      start = i;
-      break;
-    }
-  }
-  if (start == points.size()) return std::nullopt;  // site never fired
-
+  MMFLOW_REQUIRE_MSG(start < points.size(),
+                     "inject_mutation: start " << start << " out of range ("
+                                               << points.size()
+                                               << " mutation points)");
   for (std::size_t j = 0; j < points.size(); ++j) {
     const MutationPoint& point = points[(start + j) % points.size()];
     if (mutation_is_observable(tunable, pristine, point, sim_seed)) {
@@ -154,9 +146,9 @@ std::optional<MutationPoint> inject_mutation(
     }
   }
   MMFLOW_CHECK_MSG(false,
-                   "verify.mutate: no observable mutation point exists — "
+                   "inject_mutation: no observable mutation point exists — "
                    "every single-point corruption is behaviour-preserving");
-  return std::nullopt;
+  return points[start];
 }
 
 }  // namespace mmflow::verify

@@ -19,17 +19,14 @@
 ///  * DropActivation — one mode removed from one tunable connection's
 ///                     activation set (a routing bit lost for that mode).
 ///
-/// Mutation points are selected through the `common/faults` registry at the
-/// `verify.mutate` site (arm with e.g. `MMFLOW_FAULTS=verify.mutate@3`): the
-/// enumeration probes the site once per candidate point, and the first probe
-/// that fires picks the starting point. From there the harness advances to
-/// the first *observable* candidate — one whose corruption provably changes
+/// The caller picks a start index into `enumerate_mutation_points`; from
+/// there the harness advances to the first *observable* candidate — one whose corruption provably changes
 /// the mode's behaviour under `verify::mode_differs_under_random_sim` — so an
 /// applied mutation always yields a FAILED verdict, never a silent no-op
 /// (e.g. flipping a truth bit whose input minterm is unreachable).
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,9 +34,6 @@
 #include "tunable/tunable_circuit.h"
 
 namespace mmflow::verify {
-
-/// Fault site probed once per candidate mutation point.
-inline constexpr const char* kMutateFaultSite = "verify.mutate";
 
 enum class MutationKind : std::uint8_t {
   FlipTruthBit,
@@ -73,18 +67,18 @@ struct MutationPoint {
 void apply_mutation(tunable::TunableCircuit& tunable,
                     const MutationPoint& point);
 
-/// Probes `verify.mutate` once per candidate point; if a probe fires, applies
-/// the first observable mutation at or cyclically after the fired index and
-/// returns it (nullopt when the site never fires, i.e. faults not armed).
-/// `pristine` must be a snapshot of `tunable.modes()` taken before any
+/// Applies the first observable mutation at or cyclically after index `start`
+/// of `enumerate_mutation_points(tunable)` and returns it. Throws
+/// PreconditionError if `start` is not a valid index. `pristine` must be a
+/// snapshot of `tunable.modes()` taken before any
 /// mutation; `sim_seed` drives the deterministic observability stimulus.
 /// Throws InternalError if no candidate point is observable at all — that
 /// would mean the circuit tolerates every single-point corruption, which for
 /// real circuits indicates a harness bug.
-std::optional<MutationPoint> inject_mutation(
-    tunable::TunableCircuit& tunable,
-    const std::vector<techmap::LutCircuit>& pristine,
-    std::uint64_t sim_seed = 0x6d75746174ULL);
+MutationPoint inject_mutation(tunable::TunableCircuit& tunable,
+                              const std::vector<techmap::LutCircuit>& pristine,
+                              std::size_t start,
+                              std::uint64_t sim_seed = 0x6d75746174ULL);
 
 /// Whether applying `point` to (a copy of) `tunable` observably changes the
 /// target mode's behaviour versus `pristine` (deterministic randomized sim).

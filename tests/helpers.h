@@ -1,10 +1,13 @@
 #pragma once
-/// Shared helpers for the mmflow test suite: random stimulus generation and
-/// cross-simulator equivalence checks. Equivalence-by-simulation is the
+/// Shared helpers for the mmflow test suite: random stimulus generation,
+/// cross-simulator equivalence checks and scratch directories. Equivalence-by-simulation is the
 /// backbone of the suite: every transformation in the flow (synthesis,
 /// mapping, merging, specialization) must preserve sequential behaviour.
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -17,6 +20,46 @@
 #include "techmap/lutcircuit.h"
 
 namespace mmflow::testing {
+
+/// Unique scratch directory, removed on destruction.
+struct TempDir {
+  std::filesystem::path path;
+
+  TempDir() {
+    static int counter = 0;
+    path = std::filesystem::temp_directory_path() /
+           ("mmflow_test_" + std::to_string(::getpid()) + "_" +
+            std::to_string(counter++));
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+};
+
+/// The only entry file of one artifact-store kind subdirectory.
+inline std::filesystem::path only_entry(const std::filesystem::path& dir) {
+  std::filesystem::path found;
+  int count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".bin") {
+      found = entry.path();
+      ++count;
+    }
+  }
+  EXPECT_EQ(count, 1) << "expected exactly one entry in " << dir;
+  return found;
+}
+
+/// Cuts `path` down to its first `keep` bytes.
+inline void truncate_file(const std::filesystem::path& path,
+                          std::uint64_t keep) {
+  std::error_code ec;
+  std::filesystem::resize_file(path, keep, ec);
+  ASSERT_FALSE(ec) << path;
+}
 
 /// Random 64-pattern words, one per input.
 inline std::vector<std::uint64_t> random_words(std::size_t n, Rng& rng) {

@@ -8,6 +8,7 @@
 #include "apps/suites.h"
 #include <fstream>
 
+#include "common/check.h"
 #include "common/stats.h"
 #include "helpers.h"
 #include "netlist/blif.h"
@@ -330,6 +331,14 @@ TEST(Suites, PairCountsMatchPaper) {
   for (const auto& bench : regexp_suite(options)) {
     EXPECT_EQ(bench.modes.size(), 2u);
   }
+}
+
+TEST(Suites, NegativeLimitPairsIsPrecondition) {
+  SuiteOptions options;
+  options.limit_pairs = -3;  // used to build the full 10-pair suite
+  EXPECT_THROW((void)regexp_suite(options), PreconditionError);
+  EXPECT_THROW((void)fir_suite(options), PreconditionError);
+  EXPECT_THROW((void)mcnc_suite(options), PreconditionError);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 /// float canonicalization bug here would silently split on-disk keys).
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -24,6 +23,7 @@
 #include "core/artifact_store.h"
 #include "core/batch.h"
 #include "core/metrics.h"
+#include "helpers.h"
 #include "netlist/netlist.h"
 #include "techmap/mapper.h"
 
@@ -31,40 +31,11 @@ namespace mmflow::core {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Unique scratch directory, removed on destruction.
-struct TempDir {
-  fs::path path;
-
-  TempDir() {
-    static int counter = 0;
-    path = fs::temp_directory_path() /
-           ("mmflow_store_test_" + std::to_string(::getpid()) + "_" +
-            std::to_string(counter++));
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using testing::only_entry;
+using testing::TempDir;
+using testing::truncate_file;
 
 std::uint64_t counter(const char* name) { return perf::counter_value(name); }
-
-/// The only entry file of one kind subdirectory.
-fs::path only_entry(const fs::path& dir) {
-  fs::path found;
-  int count = 0;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() == ".bin") {
-      found = entry.path();
-      ++count;
-    }
-  }
-  EXPECT_EQ(count, 1) << "expected exactly one entry in " << dir;
-  return found;
-}
 
 void flip_byte(const fs::path& path, std::uint64_t offset) {
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
@@ -75,12 +46,6 @@ void flip_byte(const fs::path& path, std::uint64_t offset) {
   byte = static_cast<char>(byte ^ 0xFF);
   f.seekp(static_cast<std::streamoff>(offset));
   f.write(&byte, 1);
-}
-
-void truncate_file(const fs::path& path, std::uint64_t keep) {
-  std::error_code ec;
-  fs::resize_file(path, keep, ec);
-  ASSERT_FALSE(ec);
 }
 
 FlowKey sample_key() {

@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "aig/bridge.h"
+#include "common/check.h"
 #include "common/perf.h"
 #include "core/batch.h"
 #include "core/metrics.h"
@@ -296,6 +297,15 @@ TEST(Batch, JobFailureIsCapturedNotPropagated) {
   EXPECT_FALSE(results[0].error.empty());
   ASSERT_TRUE(results[1].experiment != nullptr) << results[1].error;
   EXPECT_TRUE(results[1].experiment->dcs_routing.success);
+}
+
+TEST(Batch, NegativeJobsOrTimeoutIsPrecondition) {
+  BatchOptions negative_jobs;
+  negative_jobs.jobs = -2;
+  EXPECT_THROW(BatchDriver{negative_jobs}, PreconditionError);
+  BatchOptions negative_timeout;
+  negative_timeout.job_timeout_ms = -1;
+  EXPECT_THROW(BatchDriver{negative_timeout}, PreconditionError);
 }
 
 /// Structural hashes: sensitive to content, insensitive to copies.

@@ -216,21 +216,7 @@ TEST(Integration, MetamorphicAllSuitesVerifyAndReplayIdentically) {
   // that mode's input circuit (docs/VERIFICATION.md). And a warm replay of
   // the same experiment from a persistent ArtifactStore, in a fresh
   // FlowCache, must yield bit-identical verdicts.
-  namespace fs = std::filesystem;
-  struct TempDir {
-    fs::path path;
-    TempDir() {
-      path = fs::temp_directory_path() /
-             ("mmflow_verify_test_" + std::to_string(::getpid()));
-      fs::remove_all(path);
-      fs::create_directories(path);
-    }
-    ~TempDir() {
-      std::error_code ec;
-      fs::remove_all(path, ec);
-    }
-  };
-  TempDir dir;
+  testing::TempDir dir;
   const auto store = std::make_shared<core::ArtifactStore>(dir.path.string());
 
   apps::SuiteOptions suite_options;

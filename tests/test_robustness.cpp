@@ -1,11 +1,9 @@
-/// Fault-tolerance tests (docs/ROBUSTNESS.md): the deterministic fault
-/// registry itself, cooperative cancellation/timeouts, artifact-store
-/// degradation under injected I/O faults healing to bit-identical QoR,
-/// sweeps that resume from the artifact store, and BLIF front-end robustness
-/// against corrupted input.
+/// Fault-tolerance tests (docs/ROBUSTNESS.md): cooperative
+/// cancellation/timeouts, artifact-store degradation on real corrupt entries
+/// healing to bit-identical QoR, sweeps that resume from the artifact store,
+/// and BLIF front-end robustness against corrupted input.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -19,12 +17,12 @@
 #include "apps/mcnc/mcnc.h"
 #include "common/cancel.h"
 #include "common/check.h"
-#include "common/faults.h"
 #include "common/perf.h"
 #include "common/rng.h"
 #include "core/artifact_store.h"
 #include "core/batch.h"
 #include "core/metrics.h"
+#include "helpers.h"
 #include "tune/knobs.h"
 #include "tune/tuner.h"
 #include "netlist/blif.h"
@@ -35,30 +33,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Every test that arms faults must disarm them — the registry is process
-/// global and a leaked spec would fail unrelated tests downstream.
-struct FaultsGuard {
-  FaultsGuard() { faults::clear(); }
-  ~FaultsGuard() { faults::clear(); }
-};
-
-/// Unique scratch directory, removed on destruction.
-struct TempDir {
-  fs::path path;
-
-  TempDir() {
-    static int counter = 0;
-    path = fs::temp_directory_path() /
-           ("mmflow_robust_test_" + std::to_string(::getpid()) + "_" +
-            std::to_string(counter++));
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using testing::TempDir;
+using testing::truncate_file;
 
 std::uint64_t counter(const char* name) { return perf::counter_value(name); }
 
@@ -133,94 +109,23 @@ void expect_same_experiment(const core::MultiModeExperiment& a,
   EXPECT_EQ(ma.diff_bits, mb.diff_bits);
 }
 
-/// Fires `site` `n` times and returns which hits threw.
-std::vector<bool> fire_pattern(const char* site, int n) {
-  std::vector<bool> fired;
-  fired.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    try {
-      faults::maybe_throw(site);
-      fired.push_back(false);
-    } catch (const faults::FaultInjected&) {
-      fired.push_back(true);
-    }
+/// Corrupts the first two experiment entries of a warm store, in filename
+/// order, the way a real disk can: the first is truncated to 10 bytes, and
+/// the second becomes an empty directory of the same name, so its read is
+/// invalid and its rewrite fails (rename cannot replace a directory).
+/// Returns the truncated entry.
+fs::path corrupt_two_experiment_entries(const fs::path& root) {
+  std::vector<fs::path> entries;
+  for (const auto& entry : fs::directory_iterator(root / "experiments")) {
+    if (entry.path().extension() == ".bin") entries.push_back(entry.path());
   }
-  return fired;
-}
-
-// ---------------------------------------------------------------- faults --
-
-TEST(Faults, DisabledIsInvisible) {
-  FaultsGuard guard;
-  EXPECT_FALSE(faults::enabled());
-  for (int i = 0; i < 100; ++i) faults::maybe_throw("store.read");
-  EXPECT_EQ(faults::hits("store.read"), 0u);  // not even counted
-}
-
-TEST(Faults, NthHitFiresExactlyOnce) {
-  FaultsGuard guard;
-  faults::install("store.read@3");
-  EXPECT_TRUE(faults::enabled());
-  const auto fired = fire_pattern("store.read", 6);
-  EXPECT_EQ(fired, (std::vector<bool>{false, false, true, false, false, false}));
-  EXPECT_EQ(faults::hits("store.read"), 6u);
-  // Unarmed sites pass through untouched.
-  EXPECT_NO_THROW(faults::maybe_throw("store.write"));
-}
-
-TEST(Faults, FromNthFiresForever) {
-  FaultsGuard guard;
-  faults::install("store.read@2*");
-  const auto fired = fire_pattern("store.read", 5);
-  EXPECT_EQ(fired, (std::vector<bool>{false, true, true, true, true}));
-}
-
-TEST(Faults, ProbabilityFormIsDeterministic) {
-  FaultsGuard guard;
-  faults::install("store.read~0.3/42");
-  const auto first = fire_pattern("store.read", 200);
-  faults::install("store.read~0.3/42");  // reinstall resets hit counters
-  const auto second = fire_pattern("store.read", 200);
-  EXPECT_EQ(first, second);  // same seed, same site, same hits -> same coins
-  const auto fired = std::count(first.begin(), first.end(), true);
-  EXPECT_GT(fired, 0);    // P(0 of 200 at p=0.3) ~ 1e-31
-  EXPECT_LT(fired, 200);
-
-  faults::install("store.read~0/1");
-  const auto never = fire_pattern("store.read", 50);
-  EXPECT_EQ(std::count(never.begin(), never.end(), true), 0);
-  faults::install("store.read~1/1");
-  const auto always = fire_pattern("store.read", 10);
-  EXPECT_EQ(std::count(always.begin(), always.end(), true), 10);
-}
-
-TEST(Faults, MultiTermSpecsAndClear) {
-  FaultsGuard guard;
-  faults::install(" store.read@1 , store.write~0.5/9 ");
-  EXPECT_THROW(faults::maybe_throw("store.read"), faults::FaultInjected);
-  EXPECT_NO_THROW(faults::maybe_throw("blif.parse"));
-  (void)fire_pattern("store.write", 3);
-  EXPECT_EQ(faults::hits("store.write"), 3u);  // armed sites count every hit
-  faults::clear();
-  EXPECT_FALSE(faults::enabled());
-  EXPECT_NO_THROW(faults::maybe_throw("store.read"));
-}
-
-TEST(Faults, MalformedSpecsAreRejected) {
-  FaultsGuard guard;
-  // No trigger; 1-based index; not a number; missing /SEED; P > 1; empty
-  // site name.
-  EXPECT_THROW(faults::install("store.read"), PreconditionError);
-  EXPECT_THROW(faults::install("store.read@0"), PreconditionError);
-  EXPECT_THROW(faults::install("store.read@abc"), PreconditionError);
-  EXPECT_THROW(faults::install("store.read~0.5"), PreconditionError);
-  EXPECT_THROW(faults::install("store.read~2/1"), PreconditionError);
-  EXPECT_THROW(faults::install("@1"), PreconditionError);
-  // Unknown sites are rejected, alone or next to a valid term: a spec that
-  // arms nothing must not let a chaos run pass silently.
-  EXPECT_THROW(faults::install("batch.job@1"), PreconditionError);
-  EXPECT_THROW(faults::install("store.read@1,x@1"), PreconditionError);
-  EXPECT_FALSE(faults::enabled());  // a rejected spec arms nothing
+  std::sort(entries.begin(), entries.end());
+  EXPECT_GE(entries.size(), 2u) << "store under " << root << " is not warm";
+  if (entries.size() < 2) return {};
+  truncate_file(entries[0], 10);
+  fs::remove(entries[1]);
+  fs::create_directory(entries[1]);
+  return entries[0];
 }
 
 // ---------------------------------------------------------------- cancel --
@@ -243,7 +148,7 @@ TEST(Cancel, TokenLifecycle) {
   timed.cancel();
   EXPECT_THROW(timed.poll(), CancelledError);
 
-  // Null-token idiom used at every injection point.
+  // Null-token idiom used at every poll point.
   EXPECT_NO_THROW(poll_cancel(nullptr));
 }
 
@@ -264,10 +169,9 @@ TEST(Cancel, ChildSeesParentTrip) {
 
 // ----------------------------------------------------- store degradation --
 
-/// A read fault on a warm persistent cache degrades to a counted invalid
-/// miss — the flow recomputes and the QoR is bit-identical.
-TEST(Robustness, StoreReadFaultHealsBitIdentically) {
-  FaultsGuard guard;
+/// Every entry of a warm persistent cache truncated: each load is a counted
+/// invalid miss, the flow recomputes, and the QoR is bit-identical.
+TEST(Robustness, TruncatedStoreHealsBitIdentically) {
   TempDir dir;
   const auto modes = similar_mode_pair(40, 11);
   const auto options = fast_options(3);
@@ -278,43 +182,26 @@ TEST(Robustness, StoreReadFaultHealsBitIdentically) {
   cold_ctx.cache = &cold_cache;
   const auto cold = core::run_experiment(modes, options, cold_ctx);
 
-  // Fresh "process": every load goes to disk, and every load fails.
-  faults::install("store.read@1*");
+  int truncated = 0;
+  for (const auto& entry : fs::recursive_directory_iterator(dir.path)) {
+    if (entry.path().extension() == ".bin") {
+      truncate_file(entry.path(), 10);
+      ++truncated;
+    }
+  }
+  ASSERT_GT(truncated, 0);
+
+  // Fresh "process": every load goes to disk, and every entry is invalid.
   core::FlowCache warm_cache;
   warm_cache.attach_store(std::make_shared<core::ArtifactStore>(dir.path));
   core::FlowContext warm_ctx;
   warm_ctx.cache = &warm_cache;
   const auto invalid_before = counter("flowcache.disk_invalid");
+  const auto hits_before = counter("flowcache.disk_hits");
   const auto warm = core::run_experiment(modes, options, warm_ctx);
   EXPECT_GT(counter("flowcache.disk_invalid"), invalid_before);
-  EXPECT_GT(counter("faults.injected"), 0u);
+  EXPECT_EQ(counter("flowcache.disk_hits"), hits_before);
   expect_same_experiment(cold, warm);
-}
-
-/// Write faults never escape the store: commits report failure, the counter
-/// records them, and the flow's result is unaffected.
-TEST(Robustness, StoreWriteFaultDegradesToCounter) {
-  FaultsGuard guard;
-  TempDir dir;
-  const auto modes = similar_mode_pair(40, 13);
-  const auto options = fast_options(5);
-
-  const auto clean = core::run_experiment(modes, options);
-
-  faults::install("store.write@1*");
-  core::FlowCache cache;
-  cache.attach_store(std::make_shared<core::ArtifactStore>(dir.path));
-  core::FlowContext ctx;
-  ctx.cache = &cache;
-  const auto errors_before = counter("flowcache.disk_write_errors");
-  const auto faulted = core::run_experiment(modes, options, ctx);
-  EXPECT_GT(counter("flowcache.disk_write_errors"), errors_before);
-  expect_same_experiment(clean, faulted);
-
-  // Nothing landed on disk: a fresh store over the directory sees no
-  // partial entries (only, at most, the subdirectory skeleton).
-  core::ArtifactStore store(dir.path);
-  EXPECT_EQ(store.size(), 0u);
 }
 
 // ---------------------------------------------------- timeouts and cancel --
@@ -481,19 +368,6 @@ TEST(BlifRobustness, UnreadableFileIsParseErrorNamingThePath) {
   }
 }
 
-TEST(BlifRobustness, InjectedIngestionFaultSurfacesAtReadTime) {
-  FaultsGuard guard;
-  TempDir dir;
-  const fs::path path = dir.path / "ok.blif";
-  std::ofstream(path) << ".model m\n.inputs a\n.outputs y\n"
-                         ".names a y\n1 1\n.end\n";
-  faults::install("blif.parse@1");
-  EXPECT_THROW((void)netlist::read_blif_file(path.string()),
-               faults::FaultInjected);
-  faults::clear();
-  EXPECT_NO_THROW((void)netlist::read_blif_file(path.string()));
-}
-
 /// Corruption sweep: no truncation or byte garbling of a valid BLIF may
 /// escape the parser as anything but a (located) ParseError — in particular
 /// never a precondition/invariant abort from the netlist builder.
@@ -541,13 +415,13 @@ TEST(BlifRobustness, CorruptedInputsNeverEscapeAsNonParseErrors) {
 
 // ------------------------------------------------------------- tune chaos --
 
-/// Chaos criterion for the autotuner: a tune rerun on a warm cache dir
-/// under injected store-read and store-write faults must produce the *same
-/// front bits* as the clean run — a faulted read is a counted miss that
-/// recomputes, so the tuner's determinism contract survives the store's
-/// degradation path end to end (docs/TUNING.md).
+/// Chaos criterion for the autotuner: a tune rerun on a warm cache dir with
+/// a truncated entry and an entry that cannot be rewritten must produce the
+/// *same front bits* as the clean run — a bad read is a counted miss that
+/// recomputes and a failed rewrite a counted write error, so the tuner's
+/// determinism contract survives the store's degradation path end to end
+/// (docs/TUNING.md).
 TEST(Robustness, ChaosTuneMatchesCleanFrontBitIdentically) {
-  FaultsGuard guard;
   const std::vector<tune::TuneBenchmark> benchmarks{tune::TuneBenchmark{
       "chaos", std::make_shared<const std::vector<techmap::LutCircuit>>(
                    similar_mode_pair(40, 61))}};
@@ -560,24 +434,24 @@ TEST(Robustness, ChaosTuneMatchesCleanFrontBitIdentically) {
       "astar_fac=1.0:1.6,align_discount=0.1:1.0", "test");
   options.batch.cache_dir = dir.path.string();
 
-  // The clean tune warms the store: a read fault can only fire on an entry
-  // that exists on disk.
+  // The clean tune warms the store, then two of its entries go bad.
   const auto clean = tune::tune(benchmarks, options);
   ASSERT_FALSE(clean.front.empty());
+  const fs::path truncated = corrupt_two_experiment_entries(dir.path);
+  ASSERT_FALSE(truncated.empty());
 
-  // Chaos rerun on the same directory: the 2nd store read fails and
-  // recomputes, and *every* store write fails; the store degrades both to
-  // counters. Jobs > 1 so the faults land on worker threads.
-  faults::install("store.read@2,store.write@1*");
+  // Chaos rerun on the same directory: both bad entries are invalid reads
+  // that recompute, and the directory-occupied one fails its rewrite; the
+  // store degrades both to counters. Jobs > 1 so the recomputes run on
+  // worker threads.
   tune::TuneOptions chaos_options = options;
   chaos_options.batch.jobs = 2;
-  const auto injected_before = counter("faults.injected");
   const auto invalid_before = counter("flowcache.disk_invalid");
   const auto errors_before = counter("flowcache.disk_write_errors");
   const auto chaos = tune::tune(benchmarks, chaos_options);
-  EXPECT_GT(counter("faults.injected"), injected_before);
-  EXPECT_GT(counter("flowcache.disk_invalid"), invalid_before);
-  EXPECT_GT(counter("flowcache.disk_write_errors"), errors_before);
+  EXPECT_GE(counter("flowcache.disk_invalid"), invalid_before + 2);
+  EXPECT_GE(counter("flowcache.disk_write_errors"), errors_before + 1);
+  EXPECT_GT(fs::file_size(truncated), 10u);  // rewritten whole
 
   ASSERT_EQ(clean.front.size(), chaos.front.size());
   for (std::size_t i = 0; i < clean.front.size(); ++i) {

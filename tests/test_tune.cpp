@@ -6,7 +6,6 @@
 /// same cache dir.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -18,6 +17,7 @@
 #include "common/check.h"
 #include "common/perf.h"
 #include "common/rng.h"
+#include "helpers.h"
 #include "techmap/lutcircuit.h"
 #include "tune/knobs.h"
 #include "tune/pareto.h"
@@ -34,22 +34,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-struct TempDir {
-  fs::path path;
-
-  TempDir() {
-    static int counter = 0;
-    path = fs::temp_directory_path() /
-           ("mmflow_tune_test_" + std::to_string(::getpid()) + "_" +
-            std::to_string(counter++));
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using testing::TempDir;
 
 std::vector<techmap::LutCircuit> similar_mode_pair(int num_gates,
                                                    std::uint64_t seed) {

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "aig/bridge.h"
-#include "common/faults.h"
+#include "common/check.h"
 #include "common/perf.h"
 #include "helpers.h"
 #include "netlist/sim.h"
@@ -474,58 +474,60 @@ TEST(MutationSuite, EnumerationCoversAllKindsDeterministically) {
   }
 }
 
-TEST(MutationSuite, InjectionThroughFaultSite) {
+TEST(MutationSuite, InjectionYieldsReplayableCex) {
   const auto modes = two_small_modes();
   TunableCircuit tc = merged(modes);
-  faults::clear();
-  faults::install(std::string(kMutateFaultSite) + "@1");
-  const auto applied = inject_mutation(tc, modes);
-  EXPECT_GE(faults::hits(kMutateFaultSite), 1u);
-  faults::clear();
-  ASSERT_TRUE(applied.has_value());
+  const MutationPoint applied = inject_mutation(tc, modes, /*start=*/0);
 
   const VerifyReport report = check_modes(tc, modes);
   EXPECT_FALSE(report.all_proven());
-  const auto& failed = report.modes[static_cast<std::size_t>(applied->mode)];
+  const auto& failed = report.modes[static_cast<std::size_t>(applied.mode)];
   EXPECT_FALSE(failed.proven);
   ASSERT_TRUE(failed.cex.has_value());
   EXPECT_TRUE(replay_counterexample(tc, modes, *failed.cex));
 }
 
-TEST(MutationSuite, InjectionIsNoOpWhenSiteNotArmed) {
+TEST(MutationSuite, StartOutOfRangeIsPrecondition) {
   const auto modes = two_small_modes();
   TunableCircuit tc = merged(modes);
-  faults::clear();
-  EXPECT_FALSE(inject_mutation(tc, modes).has_value());
-  EXPECT_TRUE(check_modes(tc, modes).all_proven());
+  const std::size_t n = enumerate_mutation_points(tc).size();
+  EXPECT_THROW((void)inject_mutation(tc, modes, n), PreconditionError);
+  EXPECT_TRUE(check_modes(tc, modes).all_proven());  // nothing applied
 }
 
-TEST(MutationSuite, DistinctFaultIndicesPickDistinctPoints) {
+bool same_point(const MutationPoint& x, const MutationPoint& y) {
+  return x.kind == y.kind && x.mode == y.mode && x.a == y.a && x.b == y.b;
+}
+
+TEST(MutationSuite, DistinctStartsPickDistinctPoints) {
   const auto modes = two_small_modes();
-  const auto points = enumerate_mutation_points(merged(modes));
+  const TunableCircuit pristine_tc = merged(modes);
+  const auto points = enumerate_mutation_points(pristine_tc);
   ASSERT_GT(points.size(), 8u);
-  // Arming later indices starts the observability scan later, so injection
-  // remains usable across the whole point space.
-  std::optional<MutationPoint> first, later;
-  {
-    TunableCircuit tc = merged(modes);
-    faults::clear();
-    faults::install(std::string(kMutateFaultSite) + "@1");
-    first = inject_mutation(tc, modes);
-    faults::clear();
-    EXPECT_FALSE(check_modes(tc, modes).all_proven());
+  std::vector<std::size_t> observable;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (mutation_is_observable(pristine_tc, modes, points[i])) {
+      observable.push_back(i);
+    }
   }
-  {
-    TunableCircuit tc = merged(modes);
-    faults::clear();
-    faults::install(std::string(kMutateFaultSite) + "@" +
-                    std::to_string(points.size()));
-    later = inject_mutation(tc, modes);
-    faults::clear();
-    EXPECT_FALSE(check_modes(tc, modes).all_proven());
-  }
-  ASSERT_TRUE(first.has_value());
-  ASSERT_TRUE(later.has_value());
+  ASSERT_GE(observable.size(), 2u);
+  // Starting at the last observable index picks exactly that point; a start
+  // past it could wrap back to the first pick.
+  const std::size_t first_idx = observable.front();
+  const std::size_t last_idx = observable.back();
+
+  TunableCircuit tc_first = merged(modes);
+  const MutationPoint first = inject_mutation(tc_first, modes, 0);
+  EXPECT_TRUE(same_point(first, points[first_idx])) << first.describe();
+  EXPECT_FALSE(check_modes(tc_first, modes).all_proven());
+
+  TunableCircuit tc_later = merged(modes);
+  const MutationPoint later = inject_mutation(tc_later, modes, last_idx);
+  EXPECT_TRUE(same_point(later, points[last_idx])) << later.describe();
+  EXPECT_FALSE(check_modes(tc_later, modes).all_proven());
+
+  EXPECT_FALSE(same_point(first, later))
+      << first.describe() << " vs " << later.describe();
 }
 
 }  // namespace

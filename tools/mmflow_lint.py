@@ -88,7 +88,6 @@ PERF_MODULES = {
     "batch",
     "blif",
     "combined_place",
-    "faults",
     "flow",
     "flowcache",
     "place",
