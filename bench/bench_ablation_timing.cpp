@@ -6,7 +6,7 @@
 /// implementations under the shared delay model — and sweep the
 /// `timing_tradeoff` λ of the WireLength engine to quantify what
 /// criticality-weighted annealing buys: λ=0 is the paper's pure-wirelength
-/// flow (bit-identical to the pre-cost-model annealer), λ>0 blends in the
+/// flow (bit-identical to the λ-less annealer), λ>0 blends in the
 /// pre-route criticality-weighted timing term.
 ///
 /// JSON rows carry per-mode critical paths next to the wirelength QoR

@@ -34,7 +34,7 @@ constexpr char kSchemaDescription[] =
     "site{u8 type,i16 x,i16 y,i16 sub};"
     "arch{i32 nx,i32 ny,i32 w,i32 k,i32 iocap,u8 sbox};"
     "placement{arch,u64 n,site[n]};"
-    "placenetlist{blocks[u8 type,str,u8 reg],nets[u32 drv,u32[] sinks,f64 w]};"
+    "placenetlist{blocks[u8 type,str,u8 reg],nets[u32 drv,u32[] sinks]};"
     "mapping{u32 luts,u32 pi,u32 po};"
     "sitespec{i32 modes,nets[str,site src,conns[site,u32 mask]]};"
     "routeproblem{i32 modes,nets[str,u32 src,conns[u32 sink,u32 mask]]};"
@@ -227,7 +227,6 @@ void write_place_netlist(Writer& w, const place::PlaceNetlist& n) {
   for (const auto& net : n.nets()) {
     w.u32(net.driver);
     write_u32_vec(w, net.sinks);
-    w.f64(net.weight);
   }
 }
 
@@ -242,12 +241,11 @@ place::PlaceNetlist read_place_netlist(Reader& r) {
     n.add_block(static_cast<place::PlaceBlock::Type>(type), std::move(name),
                 registered);
   }
-  const std::size_t num_nets = r.count(20);
+  const std::size_t num_nets = r.count(12);
   for (std::size_t i = 0; i < num_nets; ++i) {
     place::PlaceNet net;
     net.driver = r.u32();
     net.sinks = r.u32_vec();
-    net.weight = r.f64();
     n.add_net(std::move(net));
   }
   return n;

@@ -8,7 +8,7 @@
 #include "common/log.h"
 #include "common/perf.h"
 #include "common/stats.h"
-#include "place/cost_model.h"
+#include "place/timing_model.h"
 
 namespace mmflow::core {
 
@@ -19,6 +19,36 @@ using arch::Site;
 using place::PlaceBlock;
 using place::Placement;
 using place::PlaceNetlist;
+
+/// The λ-blend bookkeeping of the timing layer's composite objective
+///   cost = (1-λ)·WL/WL_norm + λ·T/T_norm.
+/// The raw wirelength and timing totals are maintained incrementally by the
+/// annealer; `rebase()` runs once per temperature epoch.
+struct CompositeObjective {
+  double lambda = 0.0;
+  double wl_sum = 0.0;
+  double t_sum = 0.0;
+  double wl_norm = 1.0;
+  double t_norm = 1.0;
+
+  /// Re-bases the normalizations on the current raw totals (so neither
+  /// term starves the other as magnitudes drift during the anneal).
+  void rebase() {
+    wl_norm = std::max(wl_sum, 1e-12);
+    t_norm = std::max(t_sum, 1e-12);
+  }
+  [[nodiscard]] double cost() const {
+    return (1.0 - lambda) * wl_sum / wl_norm + lambda * t_sum / t_norm;
+  }
+  /// Composite delta of a move with raw deltas (dwl, dt).
+  [[nodiscard]] double delta(double dwl, double dt) const {
+    return (1.0 - lambda) * dwl / wl_norm + lambda * dt / t_norm;
+  }
+  void commit(double dwl, double dt) {
+    wl_sum += dwl;
+    t_sum += dt;
+  }
+};
 
 /// Dense site key: CLB sites first, then pad sites.
 class SiteKeys {
@@ -387,10 +417,9 @@ class CombinedSa {
 
   // ---- timing layer (WireLength engine, timing_tradeoff > 0) ----------------
   //
-  // The composite objective mirrors the conventional placer's
-  // TimingCostModel: cost = (1-λ)·WL/WL_norm + λ·T/T_norm, where WL is the
-  // merged-net wirelength the engine already maintains per source site and
-  // T = Σ_modes Σ_conns crit·delay with per-mode criticalities from a
+  // The composite objective is cost = (1-λ)·WL/WL_norm + λ·T/T_norm, where
+  // WL is the merged-net wirelength the engine already maintains per source
+  // site and T = Σ_modes Σ_conns crit·delay with per-mode criticalities from a
   // pre-route PlaceTimingGraph pass, refreshed once per temperature epoch.
   // A move swaps one mode's occupants, so only that mode's nets touching
   // the moved blocks change their timing cost.
@@ -398,8 +427,6 @@ class CombinedSa {
   [[nodiscard]] bool timing_enabled() const { return obj_.lambda > 0.0; }
 
   void bind_timing(const CombinedPlaceOptions& options) {
-    MMFLOW_REQUIRE_MSG(options.timing_tradeoff <= 1.0,
-                       "timing_tradeoff must be in [0, 1]");
     obj_.lambda = options.timing_tradeoff;
     obj_.wl_sum = cost_;  // cost_ currently holds the raw wirelength total
     obj_.t_sum = 0.0;
@@ -678,7 +705,7 @@ class CombinedSa {
     std::vector<std::uint64_t> net_epoch;  ///< affected-net dedup scratch
   };
   std::vector<ModeTiming> timing_;
-  place::CompositeObjective obj_;
+  CompositeObjective obj_;
   std::uint64_t tnet_epoch_counter_ = 0;
   std::vector<std::uint32_t> pending_tnets_;
   std::vector<double> pending_tcost_;
@@ -700,6 +727,12 @@ CombinedPlacement combined_place(const std::vector<techmap::LutCircuit>& modes,
                                  const CombinedPlaceOptions& options,
                                  CombinedPlaceStats* stats) {
   MMFLOW_REQUIRE(!modes.empty() && modes.size() <= 32);
+  // Checked for both engines, although EdgeMatch never reads λ: a knob out
+  // of range is a caller error whichever engine would ignore it.
+  MMFLOW_REQUIRE_MSG(options.timing_tradeoff >= 0.0 &&
+                         options.timing_tradeoff <= 1.0,
+                     "timing_tradeoff must be in [0, 1], got "
+                         << options.timing_tradeoff);
   MMFLOW_PERF_SCOPE("combined_place.total");
   MMFLOW_PERF_ADD("combined_place.calls", 1);
   CombinedPlacement out;

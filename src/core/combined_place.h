@@ -31,6 +31,7 @@
 
 #include "arch/arch.h"
 #include "place/placer.h"
+#include "place/timing_model.h"
 #include "tunable/tunable_circuit.h"
 
 namespace mmflow::core {
@@ -45,8 +46,9 @@ struct CombinedPlaceOptions {
   /// the pure merged-wirelength objective (bit-identical per seed to the
   /// λ-less annealer), larger values blend in a per-mode
   /// criticality-weighted timing term estimated pre-route by the shared
-  /// delay model (place/cost_model.h). Ignored by EdgeMatch, whose
-  /// objective is placement-geometry-free.
+  /// delay model (place/timing_model.h). Ignored by EdgeMatch, whose
+  /// objective is placement-geometry-free; out-of-range values (and NaN)
+  /// throw PreconditionError for both engines.
   double timing_tradeoff = 0.0;
   /// Delay model for the pre-route estimator (read when timing_tradeoff >
   /// 0); the same model the post-route report uses.

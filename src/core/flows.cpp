@@ -646,6 +646,11 @@ ArchSpec base_region(const std::vector<techmap::LutCircuit>& modes,
   MMFLOW_REQUIRE_MSG(options.anneal.inner_num > 0.0,
                      "annealing effort inner_num must be > 0, got "
                          << options.anneal.inner_num);
+  // combined_place checks λ as well, but only after the MDR side has run;
+  // an out-of-range λ must fail before any work, under either engine.
+  MMFLOW_REQUIRE_MSG(
+      options.timing_tradeoff >= 0.0 && options.timing_tradeoff <= 1.0,
+      "timing_tradeoff must be in [0, 1], got " << options.timing_tradeoff);
   int max_clbs = 0;
   int max_ios = 0;
   for (const auto& mode : modes) {

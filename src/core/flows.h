@@ -107,12 +107,13 @@ struct FlowOptions {
   int max_channel_width = 128;
   /// EdgeMatch freezes topology before geometry, so its Tunable circuit is
   /// re-placed from scratch by TPlace (the paper's pipeline). WireLength
-  /// keeps the combined placement's positions and only quench-polishes.
+  /// keeps the combined placement's positions as they are.
   bool tplace_from_scratch_for_edgematch = true;
   /// Timing-driven combined placement: λ in [0, 1] blending the WireLength
   /// engine's merged-wirelength objective with a criticality-weighted
-  /// pre-route timing term (see place/cost_model.h). Only the DCS side is
-  /// timing-driven — the MDR baseline stays wirelength-driven so
+  /// pre-route timing term (see place/timing_model.h). A value outside
+  /// [0, 1], or NaN, throws PreconditionError before any work. Only the DCS
+  /// side is timing-driven — the MDR baseline stays wirelength-driven so
   /// core::timing_report ratios measure the DCS gain against the paper's
   /// fixed reference flow. 0 (the default) is bit-identical to the λ-less
   /// flow, including the cached-flow hash.

@@ -5,11 +5,11 @@
 /// multi-mode placement (src/core/combined_place.cpp): the paper states the
 /// combined placement "extended the conventional placement tool", so both
 /// use identical annealing machinery. The bounding-box estimator below is
-/// likewise shared: the pluggable cost models (place/cost_model.h) and the
-/// combined annealer's merged-net engine all cost nets with the same
-/// q(fanout)·HPWL formula. Each temperature step is one *epoch*: cost
-/// models refresh per-epoch state (timing criticalities, normalizations)
-/// when the schedule steps, never mid-temperature.
+/// likewise shared: the conventional placer and the combined annealer's
+/// merged-net engine both cost nets with the same q(fanout)·HPWL formula.
+/// Each temperature step is one *epoch*: the combined annealer's timing
+/// layer refreshes its per-epoch state (criticalities, normalizations) when
+/// the schedule steps, never mid-temperature.
 
 #include <algorithm>
 #include <cmath>

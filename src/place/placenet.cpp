@@ -92,7 +92,7 @@ PlaceNetlist to_place_netlist(const techmap::LutCircuit& circuit,
     // Self-loops (a LUT reading its own FF output) need no routing.
     sinks.erase(std::remove(sinks.begin(), sinks.end(), src), sinks.end());
     if (sinks.empty()) continue;
-    out.add_net(PlaceNet{src, std::move(sinks), 1.0});
+    out.add_net(PlaceNet{src, std::move(sinks)});
   }
   return out;
 }

@@ -19,7 +19,7 @@ struct PlaceBlock {
   Type type = Type::Clb;
   std::string name;
   /// Clb whose output is the registered (FF) LUT value: a sequential timing
-  /// start/end point for the pre-route analyzer (place/cost_model.h). Io
+  /// start/end point for the pre-route analyzer (place/timing_model.h). Io
   /// blocks are always timing endpoints; the flag is meaningless for them.
   bool registered = false;
 };
@@ -29,7 +29,6 @@ struct PlaceBlock {
 struct PlaceNet {
   std::uint32_t driver = 0;
   std::vector<std::uint32_t> sinks;
-  double weight = 1.0;
 
   [[nodiscard]] std::size_t num_terminals() const { return sinks.size() + 1; }
 };

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "common/log.h"
 #include "common/perf.h"
 #include "common/stats.h"
-#include "place/cost_model.h"
 
 namespace mmflow::place {
 
@@ -33,8 +31,7 @@ Bb net_bb(const PlaceNet& net, const Placement& placement) {
 
 double net_cost(const PlaceNet& net, const Placement& placement) {
   const Bb bb = net_bb(net, placement);
-  return net.weight *
-         hpwl_cost(bb.xmin, bb.xmax, bb.ymin, bb.ymax, net.num_terminals());
+  return hpwl_cost(bb.xmin, bb.xmax, bb.ymin, bb.ymax, net.num_terminals());
 }
 
 }  // namespace
@@ -132,28 +129,25 @@ Placement random_placement(const PlaceNetlist& netlist,
 
 namespace {
 
-/// Incremental SA engine. The engine owns move *proposal* (random block and
-/// target site, staged block→site mirror, occupancy mirrors, acceptance);
-/// what a move *costs* is delegated to the pluggable `PlaceCostModel`
-/// (place/cost_model.h), which maintains the per-net cost decomposition and
-/// evaluates only the nets touching the moved block(s) against the staged
-/// mirror — so rejected moves never touch the placement, and accepted moves
-/// commit the already-computed costs instead of re-evaluating them (the
-/// seed paid a second full evaluation per accepted move). Net fanouts in
-/// mapped LUT circuits are small, so recomputing an affected net from
-/// scratch is cheap and, unlike VPR's incremental bounding boxes, trivially
-/// correct.
+/// Incremental SA engine over the bounding-box wirelength objective. The
+/// engine keeps the per-net cost decomposition and a block→site mirror; a
+/// proposed move is staged in the mirror and only the nets touching the
+/// moved block(s) are re-evaluated against it — so rejected moves never
+/// touch the placement, and accepted moves commit the already-computed
+/// costs instead of re-evaluating them. Net fanouts in mapped LUT circuits
+/// are small, so recomputing an affected net from scratch is cheap and,
+/// unlike VPR's incremental bounding boxes, trivially correct.
 class Sa {
  public:
   Sa(const PlaceNetlist& netlist, const arch::DeviceGrid& grid,
-     const Placement& placement, Rng rng,
-     std::unique_ptr<PlaceCostModel> model)
+     const Placement& placement, Rng rng)
       : netlist_(netlist),
         grid_(grid),
         rng_(rng),
-        model_(std::move(model)),
         sites_(netlist.num_blocks()),
-        net_epoch_(netlist.num_nets(), 0) {
+        net_epoch_(netlist.num_nets(), 0),
+        term_offset_(netlist.num_nets() + 1, 0),
+        net_cost_(netlist.num_nets(), 0.0) {
     netlist_.build_block_nets();
     clb_occ_.assign(static_cast<std::size_t>(grid.num_clb_sites()), -1);
     pad_occ_.assign(static_cast<std::size_t>(grid.num_pad_sites()), -1);
@@ -168,14 +162,21 @@ class Sa {
             static_cast<std::int32_t>(b);
       }
     }
-    model_->bind(sites_.data());
+    for (std::uint32_t n = 0; n < netlist_.num_nets(); ++n) {
+      const PlaceNet& net = netlist_.nets()[n];
+      term_offset_[n] = static_cast<std::uint32_t>(term_ids_.size());
+      term_ids_.push_back(net.driver);
+      term_ids_.insert(term_ids_.end(), net.sinks.begin(), net.sinks.end());
+    }
+    term_offset_[netlist_.num_nets()] =
+        static_cast<std::uint32_t>(term_ids_.size());
+    for (std::uint32_t n = 0; n < netlist_.num_nets(); ++n) {
+      net_cost_[n] = staged_cost(n);
+      cost_ += net_cost_[n];
+    }
   }
 
-  [[nodiscard]] double cost() const { return model_->cost(); }
-
-  /// Temperature-epoch hook: lets the cost model refresh epoch state
-  /// (criticalities, normalizations) from the committed positions.
-  void begin_epoch() { model_->begin_epoch(sites_.data()); }
+  [[nodiscard]] double cost() const { return cost_; }
 
   /// Rebuilds the Placement from the annealed site mirror (the annealing
   /// loop never touches the Placement's occupancy bookkeeping).
@@ -253,12 +254,21 @@ class Sa {
 
     // What-if evaluation: stage the candidate positions in the site mirror
     // (the placement itself stays untouched until the move is accepted) and
-    // let the cost model evaluate the affected nets against it.
+    // evaluate the affected nets against it.
     sites_[block] = to;
     if (other >= 0) sites_[static_cast<std::uint32_t>(other)] = from;
 
-    const double delta =
-        model_->eval_move(affected_.data(), affected_.size(), sites_.data());
+    double old_cost = 0.0;
+    for (const auto n : affected_) old_cost += net_cost_[n];
+    new_cost_.clear();
+    double new_cost = 0.0;
+    for (const auto n : affected_) {
+      const double c = staged_cost(n);
+      new_cost_.push_back(c);
+      new_cost += c;
+    }
+    net_evals_ += affected_.size();
+    const double delta = new_cost - old_cost;
 
     const bool accept =
         delta <= 0.0 ||
@@ -267,7 +277,10 @@ class Sa {
       ++moves_accepted_;
       occ[static_cast<std::size_t>(to_idx)] = static_cast<std::int32_t>(block);
       occ[static_cast<std::size_t>(from_idx)] = other;
-      model_->commit();
+      for (std::size_t i = 0; i < affected_.size(); ++i) {
+        net_cost_[affected_[i]] = new_cost_[i];
+      }
+      cost_ += delta;
     } else {
       // Unstage.
       sites_[block] = from;
@@ -277,22 +290,37 @@ class Sa {
     return accept;
   }
 
-  Rng& rng() { return rng_; }
-
   /// Flushes accumulated per-anneal tallies into the perf registry.
   void flush_perf() {
     MMFLOW_PERF_ADD("place.moves_proposed", moves_proposed_);
     MMFLOW_PERF_ADD("place.moves_accepted", moves_accepted_);
-    MMFLOW_PERF_ADD("place.net_evals", model_->take_net_evals());
+    MMFLOW_PERF_ADD("place.net_evals", net_evals_);
     moves_proposed_ = 0;
     moves_accepted_ = 0;
+    net_evals_ = 0;
   }
 
  private:
+  /// q(fanout)·HPWL of net `n` at the staged site mirror.
+  [[nodiscard]] double staged_cost(std::uint32_t n) const {
+    const std::uint32_t* t = term_ids_.data() + term_offset_[n];
+    const std::uint32_t* tend = term_ids_.data() + term_offset_[n + 1];
+    const std::size_t terminals = static_cast<std::size_t>(tend - t);
+    const arch::Site& d = sites_[*t];  // driver
+    int xmin = d.x, xmax = d.x, ymin = d.y, ymax = d.y;
+    for (++t; t != tend; ++t) {
+      const arch::Site& site = sites_[*t];
+      xmin = std::min<int>(xmin, site.x);
+      xmax = std::max<int>(xmax, site.x);
+      ymin = std::min<int>(ymin, site.y);
+      ymax = std::max<int>(ymax, site.y);
+    }
+    return hpwl_cost(xmin, xmax, ymin, ymax, terminals);
+  }
+
   const PlaceNetlist& netlist_;
   const arch::DeviceGrid& grid_;
   Rng rng_;
-  std::unique_ptr<PlaceCostModel> model_;
   std::vector<arch::Site> sites_;  ///< block→site mirror for evaluation
   std::vector<std::int32_t> clb_occ_;  ///< CLB-site occupancy mirror
   std::vector<std::int32_t> pad_occ_;  ///< pad-site occupancy mirror
@@ -300,22 +328,31 @@ class Sa {
   std::vector<std::uint64_t> net_epoch_;
   std::uint64_t epoch_ = 0;
 
+  /// Net terminals flattened driver first, then sinks in order: the move
+  /// evaluation walks the terminals of a handful of nets, and chasing each
+  /// net's sink vector separately dominates it.
+  std::vector<std::uint32_t> term_offset_;
+  std::vector<std::uint32_t> term_ids_;
+  std::vector<double> net_cost_;  ///< committed cost per net
+  double cost_ = 0.0;
+  std::vector<double> new_cost_;  ///< affected nets' staged costs
+
   std::uint64_t moves_proposed_ = 0;
   std::uint64_t moves_accepted_ = 0;
+  std::uint64_t net_evals_ = 0;
 };
 
 }  // namespace
 
-Placement place_from(const PlaceNetlist& netlist, const arch::DeviceGrid& grid,
-                     Placement initial, const PlacerOptions& options,
-                     PlacerStats* stats) {
+Placement place(const PlaceNetlist& netlist, const arch::DeviceGrid& grid,
+                const PlacerOptions& options, PlacerStats* stats) {
+  Rng init_rng(options.seed ^ 0x517cc1b727220a95ULL);
+  const Placement initial = random_placement(netlist, grid, init_rng);
+
   MMFLOW_PERF_SCOPE("place.total");
   MMFLOW_PERF_ADD("place.calls", 1);
-  initial.validate(netlist);
   Rng rng(options.seed);
-  Sa sa(netlist, grid, initial, rng.fork(),
-        make_cost_model(netlist, grid, options.timing_tradeoff,
-                        options.timing));
+  Sa sa(netlist, grid, initial, rng.fork());
 
   const int max_range = std::max(grid.spec().nx, grid.spec().ny) + 2;
   AnnealSchedule schedule(options.anneal, netlist.num_blocks(), max_range);
@@ -332,21 +369,17 @@ Placement place_from(const PlaceNetlist& netlist, const arch::DeviceGrid& grid,
     return sa.take_placement();
   }
 
-  if (options.quench_only) {
-    schedule.set_initial_temperature(0.0);
-  } else {
-    // Initial temperature: VPR uses 20x the stddev of the cost deltas over
-    // num_blocks probing moves (all accepted at T = infinity; here: huge T).
-    Summary probe;
-    const auto probes = static_cast<std::int64_t>(netlist.num_blocks());
-    for (std::int64_t i = 0; i < probes; ++i) {
-      double delta = 0.0;
-      (void)sa.try_move(max_range, 1e30, &delta);
-      probe.add(delta);
-    }
-    schedule.set_initial_temperature(options.anneal.init_t_factor *
-                                     probe.stddev());
+  // Initial temperature: VPR uses 20x the stddev of the cost deltas over
+  // num_blocks probing moves (all accepted at T = infinity; here: huge T).
+  Summary probe;
+  const auto probes = static_cast<std::int64_t>(netlist.num_blocks());
+  for (std::int64_t i = 0; i < probes; ++i) {
+    double delta = 0.0;
+    (void)sa.try_move(max_range, 1e30, &delta);
+    probe.add(delta);
   }
+  schedule.set_initial_temperature(options.anneal.init_t_factor *
+                                   probe.stddev());
 
   // Main annealing loop.
   while (true) {
@@ -361,11 +394,10 @@ Placement place_from(const PlaceNetlist& netlist, const arch::DeviceGrid& grid,
     }
     local_stats.moves_attempted += moves;
     local_stats.moves_accepted += accepted;
-    ++local_stats.temperature_steps;
 
     const double r = static_cast<double>(accepted) / static_cast<double>(moves);
-    if (options.quench_only || schedule.should_stop(sa.cost(), netlist.num_nets())) {
-      if (schedule.temperature() > 0.0 || options.quench_only) {
+    if (schedule.should_stop(sa.cost(), netlist.num_nets())) {
+      if (schedule.temperature() > 0.0) {
         // Final quench at T = 0 (VPR does one zero-temperature pass).
         std::int64_t quench_accepted = 0;
         for (std::int64_t i = 0; i < moves; ++i) {
@@ -377,10 +409,6 @@ Placement place_from(const PlaceNetlist& netlist, const arch::DeviceGrid& grid,
       break;
     }
     schedule.step(r);
-    // New temperature: refresh the cost model's epoch state (criticality
-    // recompute + normalization re-base for the timing model; no-op for
-    // pure wirelength, which keeps the λ=0 path bit-identical).
-    sa.begin_epoch();
   }
 
   local_stats.final_cost = sa.cost();
@@ -391,13 +419,6 @@ Placement place_from(const PlaceNetlist& netlist, const arch::DeviceGrid& grid,
   Placement result = sa.take_placement();
   result.validate(netlist);
   return result;
-}
-
-Placement place(const PlaceNetlist& netlist, const arch::DeviceGrid& grid,
-                const PlacerOptions& options, PlacerStats* stats) {
-  Rng rng(options.seed ^ 0x517cc1b727220a95ULL);
-  Placement initial = random_placement(netlist, grid, rng);
-  return place_from(netlist, grid, std::move(initial), options, stats);
 }
 
 }  // namespace mmflow::place

@@ -15,7 +15,6 @@
 #include "common/rng.h"
 #include "place/annealer.h"
 #include "place/placenet.h"
-#include "place/timing_model.h"
 
 namespace mmflow::place {
 
@@ -63,16 +62,6 @@ class Placement {
 struct PlacerOptions {
   std::uint64_t seed = 1;
   AnnealOptions anneal;
-  /// Quench only (skip high-temperature phase); used by TPlace polish runs.
-  bool quench_only = false;
-  /// Timing-driven placement weight λ in [0, 1]. 0 selects the pure
-  /// bounding-box wirelength cost model (bit-identical per seed to the
-  /// pre-cost-model annealer); larger values blend in the
-  /// criticality-weighted timing term (see place/cost_model.h).
-  double timing_tradeoff = 0.0;
-  /// Delay model for the pre-route estimator (only read when
-  /// timing_tradeoff > 0). Shared with the post-route report.
-  TimingModel timing;
   /// Optional cooperative cancellation, polled once per temperature epoch.
   /// Execution-only (like RouterOptions::jobs): a token never changes the
   /// placement a completed run produces, so it is excluded from
@@ -85,11 +74,10 @@ struct PlacerStats {
   double final_cost = 0.0;
   std::int64_t moves_attempted = 0;
   std::int64_t moves_accepted = 0;
-  int temperature_steps = 0;
 };
 
-/// Total bounding-box wire cost of a placement (the placer's objective and
-/// the estimator reused by the combined multi-mode placement).
+/// Total bounding-box wire cost of a placement, recomputed from scratch:
+/// the placer's objective, which the annealer maintains incrementally.
 [[nodiscard]] double placement_cost(const PlaceNetlist& netlist,
                                     const Placement& placement);
 
@@ -97,18 +85,10 @@ struct PlacerStats {
 [[nodiscard]] Placement random_placement(const PlaceNetlist& netlist,
                                          const arch::DeviceGrid& grid, Rng& rng);
 
-/// Full simulated-annealing placement.
+/// Full simulated-annealing placement from a random legal start.
 [[nodiscard]] Placement place(const PlaceNetlist& netlist,
                               const arch::DeviceGrid& grid,
                               const PlacerOptions& options = {},
                               PlacerStats* stats = nullptr);
-
-/// Anneals starting from `initial` (used for TPlace polish of a combined
-/// placement and for the quench phase).
-[[nodiscard]] Placement place_from(const PlaceNetlist& netlist,
-                                   const arch::DeviceGrid& grid,
-                                   Placement initial,
-                                   const PlacerOptions& options = {},
-                                   PlacerStats* stats = nullptr);
 
 }  // namespace mmflow::place

@@ -744,17 +744,14 @@ int search_min_width(const std::function<bool(int)>& routable_at,
 int min_channel_width(
     arch::ArchSpec spec,
     const std::function<RouteProblem(const arch::RoutingGraph&)>& make_problem,
-    const RouterOptions& options, int max_width,
-    const RrgProvider& rrg_provider) {
+    const RouterOptions& options, int max_width) {
   MMFLOW_PERF_SCOPE("route.width_search");
   return search_min_width(
       [&](int width) {
         spec.channel_width = width;
-        const std::shared_ptr<const arch::RoutingGraph> shared =
-            rrg_provider ? rrg_provider(spec)
-                         : std::make_shared<const arch::RoutingGraph>(spec);
-        const RouteProblem problem = make_problem(*shared);
-        return route(*shared, problem, options).success;
+        const arch::RoutingGraph rrg(spec);
+        const RouteProblem problem = make_problem(rrg);
+        return route(rrg, problem, options).success;
       },
       max_width);
 }

@@ -34,7 +34,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -151,24 +150,12 @@ struct RouteResult {
 [[nodiscard]] int search_min_width(const std::function<bool(int)>& routable_at,
                                    int max_width);
 
-/// Cache hook for the width search: supplies the (immutable, shareable)
-/// routing graph for a spec instead of building one per probe. Implemented
-/// by core::RrgCache; a batch of width searches over the same device then
-/// constructs each per-width graph exactly once. The provider must return a
-/// graph built from exactly `spec` (same arch semantics as the local build
-/// it replaces — the cache key is the full ArchSpec including width) and
-/// must be safe to call from concurrent searches.
-using RrgProvider = std::function<std::shared_ptr<const arch::RoutingGraph>(
-    const arch::ArchSpec&)>;
-
 /// Smallest channel width for which `make_problem(rrg)` routes, scanning
 /// upward then binary-searching. `spec` provides everything but the channel
-/// width. Returns the minimum W; throws if none <= `max_width` works.
-/// A null `rrg_provider` builds each probed width's graph locally.
-/// Re-entrant (concurrent searches may even share one `RrgProvider`).
+/// width; each probed width's graph is built locally. Returns the minimum W;
+/// throws if none <= `max_width` works. Re-entrant.
 [[nodiscard]] int min_channel_width(
     arch::ArchSpec spec, const std::function<RouteProblem(const arch::RoutingGraph&)>& make_problem,
-    const RouterOptions& options = {}, int max_width = 128,
-    const RrgProvider& rrg_provider = {});
+    const RouterOptions& options = {}, int max_width = 128);
 
 }  // namespace mmflow::route

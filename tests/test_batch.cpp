@@ -236,45 +236,6 @@ TEST(Batch, RrgCacheSharesGraphs) {
   EXPECT_EQ(perf::counter_value("rrgcache.misses"), 2u);
 }
 
-/// The router's width search accepts an RrgProvider cache hook: with an
-/// RrgCache behind it the result is unchanged and the probed widths' graphs
-/// land in (and are served from) the cache.
-TEST(Batch, MinChannelWidthUsesRrgProvider) {
-  arch::ArchSpec spec;
-  spec.nx = 5;
-  spec.ny = 5;
-  auto make_problem = [](const arch::RoutingGraph& rrg) {
-    route::RouteProblem problem;
-    const auto& s = rrg.spec();
-    for (int n = 0; n < 4; ++n) {
-      route::RouteNet net;
-      net.name = "n" + std::to_string(n);
-      net.source_node = rrg.clb_source(1 + n, 1);
-      net.conns.push_back(
-          route::RouteConn{rrg.clb_sink(s.nx - n, s.ny), 1});
-      problem.nets.push_back(std::move(net));
-    }
-    return problem;
-  };
-
-  const int plain = route::min_channel_width(spec, make_problem);
-  RrgCache cache;
-  const int via_cache = route::min_channel_width(
-      spec, make_problem, {}, 128,
-      [&](const arch::ArchSpec& s) { return cache.get(s); });
-  EXPECT_EQ(plain, via_cache);
-  EXPECT_GT(cache.size(), 0u);  // one graph per probed width
-
-  // A rerun through the same cache probes the same widths as pure hits.
-  perf::reset();
-  const int warm = route::min_channel_width(
-      spec, make_problem, {}, 128,
-      [&](const arch::ArchSpec& s) { return cache.get(s); });
-  EXPECT_EQ(plain, warm);
-  EXPECT_GT(perf::counter_value("rrgcache.hits"), 0u);
-  EXPECT_EQ(perf::counter_value("rrgcache.misses"), 0u);
-}
-
 TEST(Batch, JobFailureIsCapturedNotPropagated) {
   // An unroutable configuration: max_channel_width too small to ever route.
   const auto modes = similar_mode_pair(50, 77);

@@ -1,13 +1,15 @@
-/// Tests for the pluggable placement cost-model layer (place/cost_model.h).
+/// Tests for the placers' objectives: the conventional placer's wirelength
+/// cost, the combined annealer's two engines and its timing layer, and the
+/// pre-route timing analysis (place/timing_model.h).
 ///
 /// The bit-identity tests assert against golden hashes captured from the
-/// pre-refactor annealers (the hardwired wirelength evaluation that
-/// place/cost_model.h replaced): with timing_tradeoff = 0 every placement,
+/// original hardwired annealers: with timing_tradeoff = 0 every placement,
 /// final cost, flow-options hash and routed experiment must reproduce those
 /// bytes exactly, per seed.
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -17,8 +19,8 @@
 #include "core/flows.h"
 #include "core/timing.h"
 #include "helpers.h"
-#include "place/cost_model.h"
 #include "place/placer.h"
+#include "place/timing_model.h"
 #include "techmap/mapper.h"
 
 namespace mmflow {
@@ -58,11 +60,11 @@ PlaceNetlist chain_netlist(int length) {
   std::uint32_t prev = in;
   for (int i = 0; i < length; ++i) {
     const auto b = nl.add_block(PlaceBlock::Type::Clb, "c" + std::to_string(i));
-    nl.add_net(PlaceNet{prev, {b}, 1.0});
+    nl.add_net(PlaceNet{prev, {b}});
     prev = b;
   }
   const auto out = nl.add_block(PlaceBlock::Type::Io, "out");
-  nl.add_net(PlaceNet{prev, {out}, 1.0});
+  nl.add_net(PlaceNet{prev, {out}});
   return nl;
 }
 
@@ -89,6 +91,18 @@ arch::DeviceGrid grid_for(const PlaceNetlist& nl, double slack = 1.4) {
   return arch::DeviceGrid(
       arch::size_device(static_cast<int>(nl.num_clbs()),
                         static_cast<int>(nl.num_ios()), slack));
+}
+
+/// A device every mode fits on, as the combined-placement tests size it.
+arch::DeviceGrid grid_for_modes(const std::vector<techmap::LutCircuit>& modes) {
+  int max_clbs = 0;
+  int max_ios = 0;
+  for (const auto& m : modes) {
+    max_clbs = std::max<int>(max_clbs, static_cast<int>(m.num_blocks()));
+    max_ios =
+        std::max<int>(max_ios, static_cast<int>(m.num_pis() + m.num_pos()));
+  }
+  return arch::DeviceGrid(arch::size_device(max_clbs, max_ios, 1.4));
 }
 
 std::vector<arch::Site> sites_of(const place::Placement& p) {
@@ -124,14 +138,7 @@ TEST(CostModelGolden, ConventionalPlacerMappedBitIdentical) {
 TEST(CostModelGolden, CombinedPlacementBothEnginesBitIdentical) {
   const std::vector<techmap::LutCircuit> modes{chainy_mode(12, 3),
                                                chainy_mode(12, 4)};
-  int max_clbs = 0;
-  int max_ios = 0;
-  for (const auto& m : modes) {
-    max_clbs = std::max<int>(max_clbs, static_cast<int>(m.num_blocks()));
-    max_ios =
-        std::max<int>(max_ios, static_cast<int>(m.num_pis() + m.num_pos()));
-  }
-  const arch::DeviceGrid grid(arch::size_device(max_clbs, max_ios, 1.4));
+  const auto grid = grid_for_modes(modes);
 
   struct Golden {
     core::CombinedCost cost;
@@ -178,14 +185,7 @@ TEST(CostModelGolden, EdgeMatchMultiModeBitIdentical) {
        7019114378202646274ULL, 13854479828675198976ULL},  // cost -42.0
   };
   for (const auto& golden : goldens) {
-    int max_clbs = 0;
-    int max_ios = 0;
-    for (const auto& m : golden.modes) {
-      max_clbs = std::max<int>(max_clbs, static_cast<int>(m.num_blocks()));
-      max_ios =
-          std::max<int>(max_ios, static_cast<int>(m.num_pis() + m.num_pos()));
-    }
-    const arch::DeviceGrid grid(arch::size_device(max_clbs, max_ios, 1.4));
+    const auto grid = grid_for_modes(golden.modes);
     core::CombinedPlaceOptions options;
     options.cost = core::CombinedCost::EdgeMatch;
     options.seed = 11;
@@ -341,8 +341,8 @@ TEST(PlaceTimingGraph, CombinationalLoopThrows) {
   PlaceNetlist nl;
   const auto a = nl.add_block(PlaceBlock::Type::Clb, "a");
   const auto b = nl.add_block(PlaceBlock::Type::Clb, "b");
-  nl.add_net(PlaceNet{a, {b}, 1.0});
-  nl.add_net(PlaceNet{b, {a}, 1.0});
+  nl.add_net(PlaceNet{a, {b}});
+  nl.add_net(PlaceNet{b, {a}});
   arch::ArchSpec spec;
   EXPECT_THROW(place::PlaceTimingGraph(nl, place::TimingModel{}, spec),
                PreconditionError);
@@ -352,8 +352,8 @@ TEST(PlaceTimingGraph, RegisteredBlockBreaksLoop) {
   PlaceNetlist nl;
   const auto a = nl.add_block(PlaceBlock::Type::Clb, "a", /*registered=*/true);
   const auto b = nl.add_block(PlaceBlock::Type::Clb, "b");
-  nl.add_net(PlaceNet{a, {b}, 1.0});
-  nl.add_net(PlaceNet{b, {a}, 1.0});
+  nl.add_net(PlaceNet{a, {b}});
+  nl.add_net(PlaceNet{b, {a}});
   arch::ArchSpec spec;
   spec.nx = 2;
   spec.ny = 2;
@@ -380,48 +380,10 @@ TEST(DelayLookup, MatchesSharedFormula) {
 
 // ---- timing-driven annealing ------------------------------------------------
 
-TEST(TimingDrivenPlacer, LegalDeterministicAndFasterThanWirelength) {
-  const auto pn = place::to_place_netlist(chainy_mode(18, 1));
-  const auto grid = grid_for(pn);
-
-  place::PlacerOptions wl_options;
-  wl_options.seed = 7;
-  const auto wl_placed = place::place(pn, grid, wl_options);
-
-  place::PlacerOptions td_options;
-  td_options.seed = 7;
-  td_options.timing_tradeoff = 0.7;
-  const auto td_placed = place::place(pn, grid, td_options);
-  EXPECT_NO_THROW(td_placed.validate(pn));
-
-  // Deterministic per seed.
-  const auto td_again = place::place(pn, grid, td_options);
-  for (std::uint32_t b = 0; b < pn.num_blocks(); ++b) {
-    EXPECT_EQ(td_placed.site_of(b), td_again.site_of(b));
-  }
-
-  // The timing-driven placement must win on its own objective.
-  place::PlaceTimingGraph graph(pn, td_options.timing, grid.spec());
-  const auto wl_sites = sites_of(wl_placed);
-  graph.update(wl_sites.data());
-  const double wl_critical = graph.critical_path();
-  const auto td_sites = sites_of(td_placed);
-  graph.update(td_sites.data());
-  const double td_critical = graph.critical_path();
-  EXPECT_LT(td_critical, wl_critical);
-}
-
 TEST(TimingDrivenCombined, LegalDeterministicAndImprovesEstimate) {
   const std::vector<techmap::LutCircuit> modes{chainy_mode(12, 3),
                                                chainy_mode(12, 4)};
-  int max_clbs = 0;
-  int max_ios = 0;
-  for (const auto& m : modes) {
-    max_clbs = std::max<int>(max_clbs, static_cast<int>(m.num_blocks()));
-    max_ios =
-        std::max<int>(max_ios, static_cast<int>(m.num_pis() + m.num_pos()));
-  }
-  const arch::DeviceGrid grid(arch::size_device(max_clbs, max_ios, 1.4));
+  const auto grid = grid_for_modes(modes);
 
   core::CombinedPlaceOptions options;
   options.seed = 11;
@@ -454,14 +416,36 @@ TEST(TimingDrivenCombined, LegalDeterministicAndImprovesEstimate) {
   EXPECT_LT(worst_critical(combined), worst_critical(wl_combined));
 }
 
+// λ outside [0, 1], or NaN, is a caller error for both engines: EdgeMatch
+// never reads λ, and a WireLength run must not anneal its MDR baseline
+// first. Nothing may run it silently as λ = 0.
 TEST(TimingDrivenFlow, TradeoffOutOfRangeThrows) {
-  const auto pn = place::to_place_netlist(chainy_mode(6, 1));
-  const auto grid = grid_for(pn);
-  place::PlacerOptions options;
-  options.timing_tradeoff = 1.5;
-  EXPECT_THROW((void)place::place(pn, grid, options), PreconditionError);
-  options.timing_tradeoff = -0.1;
-  EXPECT_THROW((void)place::place(pn, grid, options), PreconditionError);
+  const std::vector<techmap::LutCircuit> modes{chainy_mode(6, 1),
+                                               chainy_mode(6, 2)};
+  const auto grid = grid_for_modes(modes);
+  const double bad[] = {-0.1, 1.5, std::numeric_limits<double>::quiet_NaN()};
+  for (const auto engine :
+       {core::CombinedCost::WireLength, core::CombinedCost::EdgeMatch}) {
+    for (const double lambda : bad) {
+      core::CombinedPlaceOptions cp_options;
+      cp_options.cost = engine;
+      cp_options.timing_tradeoff = lambda;
+      EXPECT_THROW((void)core::combined_place(modes, grid, cp_options),
+                   PreconditionError)
+          << lambda;
+
+      core::FlowOptions options;
+      options.cost_engine = engine;
+      options.anneal.inner_num = 0.5;
+      options.timing_tradeoff = lambda;
+      EXPECT_THROW((void)core::run_experiment(modes, options),
+                   PreconditionError)
+          << lambda;
+      EXPECT_THROW((void)core::experiment_key(modes, options),
+                   PreconditionError)
+          << lambda;
+    }
+  }
 }
 
 }  // namespace

@@ -15,11 +15,11 @@ PlaceNetlist chain_netlist(int length) {
   std::uint32_t prev = in;
   for (int i = 0; i < length; ++i) {
     const auto b = nl.add_block(PlaceBlock::Type::Clb, "c" + std::to_string(i));
-    nl.add_net(PlaceNet{prev, {b}, 1.0});
+    nl.add_net(PlaceNet{prev, {b}});
     prev = b;
   }
   const auto out = nl.add_block(PlaceBlock::Type::Io, "out");
-  nl.add_net(PlaceNet{prev, {out}, 1.0});
+  nl.add_net(PlaceNet{prev, {out}});
   return nl;
 }
 
@@ -118,19 +118,6 @@ TEST(Placer, ChainCostApproachesOptimal) {
   const double cost = placement_cost(nl, placed);
   // 10 two-terminal nets, minimum cost 2.0 each when adjacent.
   EXPECT_LT(cost, 2.0 * 10 * 2.0);
-}
-
-TEST(Placer, QuenchOnlyRefinesInitialPlacement) {
-  const PlaceNetlist nl = chain_netlist(20);
-  const auto grid = grid_for(nl);
-  Rng rng(11);
-  Placement initial = random_placement(nl, grid, rng);
-  const double initial_cost = placement_cost(nl, initial);
-  PlacerOptions options;
-  options.seed = 11;
-  options.quench_only = true;
-  const Placement refined = place_from(nl, grid, std::move(initial), options);
-  EXPECT_LE(placement_cost(nl, refined), initial_cost);
 }
 
 TEST(PlaceNetlist, FromLutCircuit) {
