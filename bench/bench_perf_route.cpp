@@ -1,17 +1,19 @@
 /// \file bench_perf_route.cpp
 /// Throughput benchmarks for the router hot paths: RRG construction,
 /// single-mode PathFinder routing, the multi-mode connection router
-/// (TRoute), and the minimum-channel-width search. Emits JSON with wall
-/// times, QoR guard rails (success, iteration count, wirelength) and the
-/// router's perf counters — see bench_json.h for the format.
+/// (TRoute), and two real width-search probes. Emits JSON with wall times,
+/// QoR guard rails (success, iteration count, wirelength) and the router's
+/// perf counters — see bench_json.h for the format.
 
 #include <set>
 #include <string>
 
+#include "apps/suites.h"
 #include "arch/rrg.h"
 #include "bench_json.h"
 #include "common/log.h"
 #include "common/rng.h"
+#include "core/flows.h"
 #include "route/router.h"
 
 namespace {
@@ -128,24 +130,38 @@ int main() {
     });
   }
 
-  harness.run_case("min_channel_width/n=8/nets=40", 2, [] {
-    const int w = route::min_channel_width(
-        spec_with(8, 1), [](const arch::RoutingGraph& rrg) {
-          return random_problem(rrg, 40, 1, 7);
-        });
-    return std::vector<bench::QorEntry>{{"min_width", static_cast<double>(w)}};
-  });
-
-  // Multi-mode width search — the inner loop of the paper's region protocol
-  // (flows.cpp sizes the shared region by probing widths for every mode and
-  // the merged Tunable circuit).
-  harness.run_case("min_channel_width/modes=6/n=8/nets=40", 2, [] {
-    const int w = route::min_channel_width(
-        spec_with(8, 1), [](const arch::RoutingGraph& rrg) {
-          return random_problem(rrg, 40, 6, 17);
-        });
-    return std::vector<bench::QorEntry>{{"min_width", static_cast<double>(w)}};
-  });
+  // Two real width-search probes of the MCNC first pair (suite seed 1,
+  // EdgeMatch, inner_num 1.5, flow seed 1: the edgematch_suites job of
+  // dcsbench/, W_min 13), routed as the flow's width search routes them.
+  // MDR mode 0 at W=4 is hopeless: it must give up at iteration 10. The DCS
+  // route at W=12 is a near miss that fails only after all 40 iterations:
+  // the give-up must not fire on it.
+  {
+    apps::SuiteOptions suite_options;
+    suite_options.limit_pairs = 1;
+    const auto pair = apps::mcnc_suite(suite_options).front();
+    core::FlowOptions options;
+    options.cost_engine = core::CombinedCost::EdgeMatch;
+    options.anneal.inner_num = 1.5;
+    const auto exp = core::run_experiment(pair.modes, options);
+    const auto probe_case = [&](const std::string& name,
+                                const core::SiteRouteSpec& route_spec,
+                                int width) {
+      arch::ArchSpec spec = exp.region;
+      spec.channel_width = width;
+      const arch::RoutingGraph rrg(spec);
+      const auto problem = route_spec.instantiate(rrg);
+      harness.run_case(name, 2, [&] {
+        auto qor = route_qor(rrg, route::route(rrg, problem, options.router,
+                                               route::RouteMode::Probe));
+        qor.push_back({"min_width", static_cast<double>(exp.min_width)});
+        return qor;
+      });
+    };
+    probe_case("probe_hopeless/mcnc_pair=1/mdr_mode=0/w=4",
+               exp.mdr.front().route_spec, 4);
+    probe_case("probe_near_miss/mcnc_pair=1/dcs/w=12", exp.dcs_route_spec, 12);
+  }
 
   return harness.finish();
 }

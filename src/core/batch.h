@@ -2,10 +2,10 @@
 /// \file batch.h
 /// Batched multi-seed flow driver — turns the single-experiment
 /// `core::run_experiment` into a work-queue that serves many experiments at
-/// once: multi-seed placement restarts, cost-engine comparisons and
-/// `min_channel_width` probes are all embarrassingly parallel (ROADMAP
-/// "batched multi-seed runs"), and they share most of their work through
-/// the flow-level caches of core/flows.h.
+/// once: multi-seed placement restarts and cost-engine comparisons are
+/// embarrassingly parallel (ROADMAP "batched multi-seed runs"), and they
+/// share most of their work, width probes included, through the flow-level
+/// caches of core/flows.h.
 ///
 /// ## Execution model
 ///

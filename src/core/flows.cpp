@@ -57,6 +57,12 @@ struct Fnv {
   }
 };
 
+/// Version of the width search's probe semantics, mixed into every options
+/// hash. Bump it whenever a probe's outcome may differ from the one an
+/// older binary stored, so that binary's store entries become clean misses.
+/// 1: probes give up on hopeless congestion (route::RouteMode::Probe).
+constexpr std::uint64_t kWidthSearchVersion = 1;
+
 }  // namespace
 
 std::uint64_t canonical_f64_bits(double value) {
@@ -110,6 +116,7 @@ std::uint64_t hash_arch(const arch::ArchSpec& spec) {
 
 std::uint64_t hash_flow_options(const FlowOptions& options) {
   Fnv fnv;
+  fnv.u64(kWidthSearchVersion);
   fnv.f64(options.area_slack);
   fnv.f64(options.width_slack);
   fnv.byte(static_cast<std::uint8_t>(options.encoding));
@@ -579,8 +586,8 @@ MultiModeExperiment compute_experiment(
       mdr_ok = *cached_probe;
     } else {
       for (const auto& impl : exp.mdr) {
-        if (!route::route(rrg(), impl.route_spec.instantiate(rrg()),
-                          router)
+        if (!route::route(rrg(), impl.route_spec.instantiate(rrg()), router,
+                          route::RouteMode::Probe)
                  .success) {
           mdr_ok = false;
           break;
@@ -589,8 +596,8 @@ MultiModeExperiment compute_experiment(
       if (cache != nullptr) cache->store_probe(probe_key, mdr_ok);
     }
     if (!mdr_ok) return false;
-    return route::route(rrg(), exp.dcs_route_spec.instantiate(rrg()),
-                        router)
+    return route::route(rrg(), exp.dcs_route_spec.instantiate(rrg()), router,
+                        route::RouteMode::Probe)
         .success;
   };
   {

@@ -28,6 +28,25 @@ double base_cost(RrKind kind) {
 
 constexpr double kInf = 1e30;
 
+/// Probe-mode give-up checkpoints: at `iteration`, a probe whose conflicted
+/// node count is still above `percent`% of its iteration-1 count gives up.
+/// docs/ROUTING.md has the evidence behind the thresholds.
+struct GiveUpCheckpoint {
+  int iteration;
+  std::int64_t percent;
+};
+constexpr GiveUpCheckpoint kGiveUp[] = {{10, 33}, {20, 16}};
+
+bool hopeless(int iter, int bad, int first_bad) {
+  for (const GiveUpCheckpoint& cp : kGiveUp) {
+    if (iter == cp.iteration &&
+        100 * static_cast<std::int64_t>(bad) > cp.percent * first_bad) {
+      return true;
+    }
+  }
+  return false;
+}
+
 /// Per-node hot state, packed so that one A* relaxation touches a single
 /// cache line: the search-owned label (best_cost / prev_edge), the
 /// router-owned occupancy summary (`occupied` has bit m set iff the node is
@@ -37,8 +56,12 @@ struct alignas(32) NodeHot {
   double base_hist = 0.0;   ///< base cost + accumulated congestion history
   std::int32_t prev_edge = -1;
   ModeMask occupied = 0;
+  /// Tag of the node's one live open-heap entry: bumped on every push, so
+  /// an entry whose tag differs was superseded by a cheaper push (stale).
+  /// Never reset; a search clears its heap, so no entry outlives it.
+  std::uint32_t live_tag = 0;
   std::uint8_t is_sink = 0;
-  std::uint8_t pad_[7] = {};
+  std::uint8_t pad_[3] = {};
 };
 static_assert(sizeof(NodeHot) == 32);
 
@@ -404,13 +427,16 @@ class Search {
     hot[source].best_cost = 0.0;
     hot[source].prev_edge = -1;
     touched_.push_back(source);
-    push(QEntry{astar_fac * distance(source), 0.0, source});
+    push(hot, astar_fac * distance(source), source);
 
     while (!open_.empty()) {
       const QEntry top = pop();
       if (top.node == sink) break;
-      if (top.g > hot[top.node].best_cost) continue;  // stale entry
+      if (top.tag != hot[top.node].live_tag) continue;  // stale entry
       ++expanded_;
+      // A live entry is the node's latest push, whose g set best_cost; a
+      // later push would have made it stale. So best_cost is its g.
+      const double top_g = hot[top.node].best_cost;
 
       const FlatRrg::Adj* it = flat.adj.data() + flat.adj_offset[top.node];
       const FlatRrg::Adj* end = flat.adj.data() + flat.adj_offset[top.node + 1];
@@ -439,12 +465,12 @@ class Search {
           }
         }
 
-        const double g = top.g + node_cost;
+        const double g = top_g + node_cost;
         if (g + 1e-12 < h.best_cost) {
           if (h.best_cost == kInf) touched_.push_back(to);
           h.best_cost = g;
           h.prev_edge = static_cast<std::int32_t>(it->edge);
-          push(QEntry{g + astar_fac * distance(to), g, to});
+          push(hot, g + astar_fac * distance(to), to);
         }
       }
     }
@@ -479,27 +505,66 @@ class Search {
   }
 
  private:
+  /// 16 bytes: the entry's g is not stored, because a live entry's g is
+  /// its node's best_cost (see `NodeHot::live_tag`).
   struct QEntry {
     double f = 0.0;
-    double g = 0.0;
     std::uint32_t node = 0;
-    bool operator<(const QEntry& other) const { return f > other.f; }
+    std::uint32_t tag = 0;
   };
+  static_assert(sizeof(QEntry) == 16);
 
-  // std::push_heap / std::pop_heap over a reusable vector: identical
-  // ordering (including tie-breaks) to the std::priority_queue they
-  // replace, without the per-connection container construction.
-  void push(QEntry e) {
-    open_.push_back(e);
-    std::push_heap(open_.begin(), open_.end());
+  // A binary min-heap on f over a reusable vector, with the exact sift
+  // sequence of libstdc++'s std::push_heap / std::pop_heap. Ties on f are
+  // common, and the entry that wins one decides the routed paths, so the
+  // tie order is fixed here rather than left to the standard library
+  // (docs/ROUTING.md, determinism contract).
+  void push(NodeHot* hot, double f, std::uint32_t node) {
+    open_.push_back(QEntry{f, node, ++hot[node].live_tag});
+    sift_up(open_.size() - 1, open_.back());
     ++pushes_;
   }
+
   QEntry pop() {
-    std::pop_heap(open_.begin(), open_.end());
-    const QEntry top = open_.back();
+    const QEntry top = open_.front();
+    const QEntry last = open_.back();
     open_.pop_back();
+    const std::size_t len = open_.size();
+    if (len > 0) {
+      // Walk the hole from the root to a leaf, always taking the smaller
+      // child (the right one on a tie), then sift the former last entry
+      // up from there.
+      QEntry* const heap = open_.data();
+      std::size_t hole = 0;
+      std::size_t child = 0;
+      while (child < (len - 1) / 2) {
+        child = 2 * (child + 1);
+        child -= static_cast<std::size_t>(heap[child].f > heap[child - 1].f);
+        heap[hole] = heap[child];
+        hole = child;
+      }
+      if ((len & 1) == 0 && child == (len - 2) / 2) {
+        child = 2 * (child + 1);
+        heap[hole] = heap[child - 1];
+        hole = child - 1;
+      }
+      sift_up(hole, last);
+    }
     ++pops_;
     return top;
+  }
+
+  /// Moves the hole at `hole` up while its parent's f is larger, and drops
+  /// `e` into it.
+  void sift_up(std::size_t hole, QEntry e) {
+    QEntry* const heap = open_.data();
+    while (hole > 0) {
+      const std::size_t parent = (hole - 1) / 2;
+      if (!(heap[parent].f > e.f)) break;
+      heap[hole] = heap[parent];
+      hole = parent;
+    }
+    heap[hole] = e;
   }
 
   const FlatRrg* flat_;
@@ -514,7 +579,7 @@ class Search {
 }  // namespace
 
 RouteResult route(const RoutingGraph& rrg, const RouteProblem& problem,
-                  const RouterOptions& options) {
+                  const RouterOptions& options, RouteMode mode) {
   MMFLOW_REQUIRE(problem.num_modes >= 1 && problem.num_modes <= 32);
   MMFLOW_REQUIRE_MSG(options.jobs == 1,
                      "RouterOptions::jobs must be 1 (got " << options.jobs
@@ -565,6 +630,7 @@ RouteResult route(const RoutingGraph& rrg, const RouteProblem& problem,
 
   double pres_fac = options.first_iter_pres_fac;
   std::vector<std::uint8_t> conn_in_conflict(result.conns.size(), 1);
+  int first_bad = 0;  // conflicted nodes after iteration 1
 
   // Rips up `ci`'s current path (no-op if it has none).
   const auto rip_up = [&](std::size_t ci) {
@@ -649,6 +715,11 @@ RouteResult route(const RoutingGraph& rrg, const RouteProblem& problem,
       break;
     }
     MMFLOW_DEBUG("route iter " << iter << ": " << bad << " conflicted nodes");
+    if (iter == 1) first_bad = bad;
+    if (mode == RouteMode::Probe && hopeless(iter, bad, first_bad)) {
+      MMFLOW_PERF_ADD("route.probes_abandoned", 1);
+      break;
+    }
     pres_fac = std::min(pres_fac * options.pres_fac_mult, options.max_pres_fac);
   }
   search.flush_perf();
@@ -720,15 +791,18 @@ int search_min_width(const std::function<bool(int)>& routable_at,
     return ok;
   };
 
-  // Exponential scan upward from a small width.
-  int lo = 0;       // unroutable lower bound (exclusive; 0 tracks never routes)
-  int hi = 4;       // candidate
-  while (hi <= max_width && !routable(hi)) {
+  // Exponential scan upward from a small width; the last step is clamped
+  // to max_width so every width up to it stays reachable.
+  MMFLOW_REQUIRE_MSG(max_width >= 1,
+                     "max_width must be >= 1, got " << max_width);
+  int lo = 0;  // unroutable lower bound (exclusive; 0 tracks never routes)
+  int hi = std::min(4, max_width);  // candidate
+  while (!routable(hi)) {
+    MMFLOW_REQUIRE_MSG(hi < max_width, "unroutable even at channel width "
+                                           << max_width);
     lo = hi;
-    hi *= 2;
+    hi = std::min(2 * hi, max_width);
   }
-  MMFLOW_REQUIRE_MSG(hi <= max_width, "unroutable even at channel width "
-                                          << max_width);
   // Binary search in (lo, hi].
   while (hi - lo > 1) {
     const int mid = (lo + hi) / 2;
@@ -739,21 +813,6 @@ int search_min_width(const std::function<bool(int)>& routable_at,
     }
   }
   return hi;
-}
-
-int min_channel_width(
-    arch::ArchSpec spec,
-    const std::function<RouteProblem(const arch::RoutingGraph&)>& make_problem,
-    const RouterOptions& options, int max_width) {
-  MMFLOW_PERF_SCOPE("route.width_search");
-  return search_min_width(
-      [&](int width) {
-        spec.channel_width = width;
-        const arch::RoutingGraph rrg(spec);
-        const RouteProblem problem = make_problem(rrg);
-        return route(rrg, problem, options).success;
-      },
-      max_width);
 }
 
 }  // namespace mmflow::route

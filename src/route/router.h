@@ -20,12 +20,12 @@
 ///
 /// Ownership & thread-safety: the router never takes ownership of — or
 /// mutates — the `RoutingGraph`; all search state lives in per-call locals.
-/// `route()`, `search_min_width()` and `min_channel_width()` are therefore
-/// re-entrant, and one immutable RRG may be shared by any number of
-/// concurrent `route()` calls (the batch driver in src/core/batch.h relies
-/// on this: one graph per (arch, width), many seeds routing on it at once).
-/// Results are a pure function of (rrg, problem, options) — bit-identical
-/// regardless of sharing or concurrency.
+/// `route()` and `search_min_width()` are therefore re-entrant, and one
+/// immutable RRG may be shared by any number of concurrent `route()` calls
+/// (the batch driver in src/core/batch.h relies on this: one graph per
+/// (arch, width), many seeds routing on it at once). Results are a pure
+/// function of (rrg, problem, options, mode) — bit-identical regardless of
+/// sharing or concurrency.
 ///
 /// Each `route()` call is single-threaded: one PathFinder loop re-routes
 /// the conflicted connections in a fixed order. Parallelism lives one level
@@ -133,29 +133,38 @@ struct RouteResult {
   [[nodiscard]] std::size_t total_wirelength(const arch::RoutingGraph& rrg) const;
 };
 
+/// How long `route()` keeps negotiating.
+enum class RouteMode {
+  /// Until the routing is legal or `max_iterations` have run.
+  Final,
+  /// A width-search probe, which only needs to know whether the problem
+  /// routes: it also gives up (`success = false`, counted as
+  /// `route.probes_abandoned`) once the conflicted node count is above
+  /// 33% of its iteration-1 value at iteration 10, or above 16% at
+  /// iteration 20. A probe that does not give up returns exactly what a
+  /// Final route returns. docs/ROUTING.md has the evidence.
+  Probe,
+};
+
 /// Routes a problem; `result.success` is false if congestion could not be
-/// resolved within `options.max_iterations`. Re-entrant: all mutable state
-/// is per-call and `rrg` is only read, so concurrent `route()` calls never
-/// interact. The result is a pure function of (rrg, problem, options).
+/// resolved within `options.max_iterations` (or, in Probe mode, looks
+/// hopeless at a checkpoint). Re-entrant: all mutable state is per-call
+/// and `rrg` is only read, so concurrent `route()` calls never interact.
+/// The result is a pure function of (rrg, problem, options, mode).
 /// Throws if `options.jobs != 1`.
 [[nodiscard]] RouteResult route(const arch::RoutingGraph& rrg,
                                 const RouteProblem& problem,
-                                const RouterOptions& options = {});
+                                const RouterOptions& options = {},
+                                RouteMode mode = RouteMode::Final);
 
-/// Minimum-width search driver: memoizes `routable_at` (so each width is
-/// probed at most once), scans upward from width 4 by doubling, then
-/// binary-searches the bracketed range. Shared by `min_channel_width` and
-/// the flow-level region sizing. Throws if nothing <= `max_width` routes.
-/// Re-entrant; `routable_at` is invoked from the calling thread only.
+/// Minimum-width search driver of the flow's region sizing: memoizes
+/// `routable_at` (so each width is probed at most once), scans upward
+/// 4, 8, 16, ... by doubling, with the last step clamped to `max_width`,
+/// then binary-searches the bracketed range. Returns the smallest width at
+/// which `routable_at` holds, assuming it is monotone. Throws if nothing
+/// <= `max_width` routes. Re-entrant; `routable_at` is invoked from the
+/// calling thread only.
 [[nodiscard]] int search_min_width(const std::function<bool(int)>& routable_at,
                                    int max_width);
-
-/// Smallest channel width for which `make_problem(rrg)` routes, scanning
-/// upward then binary-searching. `spec` provides everything but the channel
-/// width; each probed width's graph is built locally. Returns the minimum W;
-/// throws if none <= `max_width` works. Re-entrant.
-[[nodiscard]] int min_channel_width(
-    arch::ArchSpec spec, const std::function<RouteProblem(const arch::RoutingGraph&)>& make_problem,
-    const RouterOptions& options = {}, int max_width = 128);
 
 }  // namespace mmflow::route

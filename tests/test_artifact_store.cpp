@@ -207,19 +207,21 @@ TEST(CanonicalHash, PinnedValuesForNormalInputs) {
   // Golden values captured from the current implementation: the on-disk
   // store addresses entries by these hashes, so any drift silently orphans
   // every existing cache (and -0.0/NaN canonicalization must not move the
-  // hash of normal inputs). Update only on a deliberate format break —
-  // together with ArtifactStore::kFormatVersion.
-  EXPECT_EQ(hash_flow_options(FlowOptions{}), 0xb69ccb55122e04f4ULL);
+  // hash of normal inputs). Update only on a deliberate key break: a
+  // format break (together with ArtifactStore::kFormatVersion) or a change
+  // of what a width probe returns (together with flows.cpp's
+  // kWidthSearchVersion, which last moved these values).
+  EXPECT_EQ(hash_flow_options(FlowOptions{}), 0xd48bba4f10b91bd1ULL);
 
   FlowOptions fast;
   fast.anneal.inner_num = 2.0;
-  EXPECT_EQ(hash_flow_options(fast), 0xf77d5db730d91a90ULL);
+  EXPECT_EQ(hash_flow_options(fast), 0x19c8492d6a1526e5ULL);
 
   FlowOptions tweaked;
   tweaked.area_slack = 1.5;
   tweaked.width_slack = 1.3;
   tweaked.max_channel_width = 64;
-  EXPECT_EQ(hash_flow_options(tweaked), 0xd9d810aa8fa421cdULL);
+  EXPECT_EQ(hash_flow_options(tweaked), 0xebf9a2c020818848ULL);
 
   EXPECT_EQ(FlowKeyHash{}(sample_key()), 0x88fffb80f3863542ULL);
 }

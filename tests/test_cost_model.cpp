@@ -205,12 +205,12 @@ TEST(CostModelGolden, FlowOptionsHashStableAcrossTradeoffs) {
   core::FlowOptions options;
   options.anneal.inner_num = 2.0;
   options.seed = 5;
-  // The pre-knob hash. λ rides in FlowKey::variant instead of the options
+  // The λ = 0 hash. λ rides in FlowKey::variant instead of the options
   // hash, so the hash is stable for every tradeoff — that is what lets the
   // λ-independent MDR artifacts share cache entries across a sweep.
-  EXPECT_EQ(core::hash_flow_options(options), 17833513140836965008ULL);
+  EXPECT_EQ(core::hash_flow_options(options), 1857815305692456677ULL);
   options.timing_tradeoff = 0.5;
-  EXPECT_EQ(core::hash_flow_options(options), 17833513140836965008ULL);
+  EXPECT_EQ(core::hash_flow_options(options), 1857815305692456677ULL);
 }
 
 TEST(TimingDrivenFlow, TradeoffSweepSharesMdrBaseline) {

@@ -4,6 +4,7 @@
 
 #include "arch/rrg.h"
 #include "common/check.h"
+#include "common/perf.h"
 #include "common/rng.h"
 #include "route/router.h"
 
@@ -297,6 +298,29 @@ TEST(Router, GoldenHashPinned) {
   EXPECT_EQ(hash_result(route(rrg, problem)), 0xb6acab08c334b479ULL);
 }
 
+TEST(Router, ProbeModeIsBitIdenticalWhenItDoesNotGiveUp) {
+  const arch::RoutingGraph rrg(spec_with(10, 6));
+  const auto problem = random_problem(rrg, 40, 4, 7);
+  EXPECT_EQ(hash_result(route(rrg, problem, {}, RouteMode::Probe)),
+            0xb6acab08c334b479ULL);
+}
+
+TEST(Router, ProbeModeGivesUpOnHopelessCongestion) {
+  // Width 1 on a 4x4 array cannot carry 20 random nets.
+  const arch::RoutingGraph rrg(spec_with(4, 1));
+  const auto problem = random_problem(rrg, 20, 1, 3);
+  perf::reset();
+  const RouteResult final_route = route(rrg, problem);
+  EXPECT_FALSE(final_route.success);
+  EXPECT_EQ(final_route.iterations, 40);
+  EXPECT_EQ(perf::counter_value("route.probes_abandoned"), 0u);
+
+  const RouteResult probe = route(rrg, problem, {}, RouteMode::Probe);
+  EXPECT_FALSE(probe.success);
+  EXPECT_EQ(probe.iterations, 10);
+  EXPECT_EQ(perf::counter_value("route.probes_abandoned"), 1u);
+}
+
 TEST(Router, RejectsJobsOtherThanOne) {
   const arch::RoutingGraph rrg(spec_with(4, 3));
   RouteProblem problem;
@@ -413,34 +437,84 @@ TEST(Router, SplitEscapeHatchKeepsLegality) {
   }
 }
 
+/// Three nets crossing a 3x3 array: needs a couple of tracks.
+RouteProblem crossing_problem(const arch::RoutingGraph& rrg) {
+  RouteProblem problem;
+  for (int i = 1; i <= 3; ++i) {
+    RouteNet net;
+    net.name = "n" + std::to_string(i);
+    net.source_node = rrg.clb_source(i, 1);
+    net.conns.push_back(RouteConn{rrg.clb_sink(4 - i, 3), 1});
+    problem.nets.push_back(net);
+  }
+  return problem;
+}
+
 TEST(MinChannelWidth, FindsMinimum) {
   arch::ArchSpec spec = spec_with(3, 1);
-  // A crossing pattern needing a couple of tracks.
-  auto make_problem = [](const arch::RoutingGraph& rrg) {
-    RouteProblem problem;
-    for (int i = 1; i <= 3; ++i) {
-      RouteNet net;
-      net.name = "n" + std::to_string(i);
-      net.source_node = rrg.clb_source(i, 1);
-      net.conns.push_back(RouteConn{rrg.clb_sink(4 - i, 3), 1});
-      problem.nets.push_back(net);
-    }
-    return problem;
+  const auto routes_at = [&spec](int width) {
+    spec.channel_width = width;
+    const arch::RoutingGraph rrg(spec);
+    return route(rrg, crossing_problem(rrg)).success;
   };
-  const int wmin = min_channel_width(spec, make_problem);
+  const int wmin = search_min_width(routes_at, 128);
   EXPECT_GE(wmin, 1);
   EXPECT_LE(wmin, 8);
   // Verify minimality: wmin routes, wmin-1 does not (when wmin > 1).
-  spec.channel_width = wmin;
-  {
-    const arch::RoutingGraph rrg(spec);
-    EXPECT_TRUE(route(rrg, make_problem(rrg)).success);
-  }
-  if (wmin > 1) {
-    spec.channel_width = wmin - 1;
-    const arch::RoutingGraph rrg(spec);
-    EXPECT_FALSE(route(rrg, make_problem(rrg)).success);
-  }
+  EXPECT_TRUE(routes_at(wmin));
+  if (wmin > 1) EXPECT_FALSE(routes_at(wmin - 1));
+}
+
+/// Runs search_min_width on the synthetic predicate "routes iff width >=
+/// wmin", recording every probed width in order.
+std::vector<int> probe_sequence(int wmin, int max_width, int* found) {
+  std::vector<int> probed;
+  *found = search_min_width(
+      [&](int width) {
+        probed.push_back(width);
+        return width >= wmin;
+      },
+      max_width);
+  return probed;
+}
+
+TEST(MinChannelWidth, ProbesEachWidthOnceScanThenBisection) {
+  int found = 0;
+  // Default ceiling: doubling from 4 brackets 13 in (8, 16], then bisection.
+  EXPECT_EQ(probe_sequence(13, 128, &found),
+            (std::vector<int>{4, 8, 16, 12, 14, 13}));
+  EXPECT_EQ(found, 13);
+  EXPECT_EQ(probe_sequence(100, 128, &found),
+            (std::vector<int>{4, 8, 16, 32, 64, 128, 96, 112, 104, 100, 98,
+                              99}));
+  EXPECT_EQ(found, 100);
+  EXPECT_EQ(probe_sequence(1, 128, &found), (std::vector<int>{4, 2, 1}));
+  EXPECT_EQ(found, 1);
+}
+
+TEST(MinChannelWidth, ClampsLastScanStepToMaxWidth) {
+  int found = 0;
+  // 65..100 lie above the last doubling step (64) but within max_width.
+  EXPECT_EQ(probe_sequence(80, 100, &found),
+            (std::vector<int>{4, 8, 16, 32, 64, 100, 82, 73, 77, 79, 80}));
+  EXPECT_EQ(found, 80);
+  EXPECT_EQ(probe_sequence(100, 100, &found).back(), 99);
+  EXPECT_EQ(found, 100);
+  // A ceiling below the first scan step is itself probed.
+  EXPECT_EQ(probe_sequence(2, 3, &found), (std::vector<int>{3, 1, 2}));
+  EXPECT_EQ(found, 2);
+  // Nothing up to the ceiling routes: each width is probed once, then throw.
+  std::vector<int> probed;
+  EXPECT_THROW((void)search_min_width(
+                   [&](int width) {
+                     probed.push_back(width);
+                     return false;
+                   },
+                   100),
+               PreconditionError);
+  EXPECT_EQ(probed, (std::vector<int>{4, 8, 16, 32, 64, 100}));
+  EXPECT_THROW((void)search_min_width([](int) { return true; }, 0),
+               PreconditionError);
 }
 
 }  // namespace
