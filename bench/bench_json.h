@@ -113,6 +113,10 @@ class PerfBench {
       std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
       return 1;
     }
+    // Full round-trip precision: the QoR fields are the bit-identity guard
+    // rail, and the stream's default 6 digits would hide a drift in them
+    // (and print a count above 10^6 in exponent form).
+    os.precision(std::numeric_limits<double>::max_digits10);
     os << "{\n  \"bench\": \"" << name_ << "\",\n  \"cases\": [";
     for (std::size_t i = 0; i < cases_.size(); ++i) {
       const Case& c = cases_[i];

@@ -21,9 +21,8 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x414D4D46;  // "FMMA" little-endian
 
-/// Artifact kinds; part of every entry header so a file renamed across kind
-/// directories (or a key collision across kinds) reads as invalid.
-enum Kind : int { kExperiment = 1, kMdr = 2, kProbe = 3, kMdrRoutes = 4 };
+/// The one entry directory: whole experiments, one entry per finished job.
+constexpr char kExperimentDir[] = "experiments";
 
 /// Human-maintained description of the payload field layout. Any change to
 /// a serializer below MUST be reflected here — the hash of this string is
@@ -47,8 +46,7 @@ constexpr char kSchemaDescription[] =
     "routeproblem[] mdr_problems,u8 has_tunable,lutcircuit[] tmodes,merge,"
     "site[] tlut,site[] tio,sitespec dcs,routeproblem dcs_p,"
     "routeresult dcs_r,u64 total,u64 merged};"
-    "mdr{modeimpl[]=netlist,mapping,placement,sitespec};"
-    "probe{u8};routes{routeproblem[],routeresult[]}";
+    "modeimpl{netlist,mapping,placement,sitespec}";
 
 std::uint64_t fnv1a(const char* data, std::size_t size) {
   std::uint64_t h = 1469598103934665603ULL;
@@ -537,12 +535,10 @@ MultiModeExperiment read_experiment(Reader& r) {
 
 // ---- entry framing ----------------------------------------------------------
 
-void write_header(Writer& w, int kind, const FlowKey& key,
-                  const std::string& payload) {
+void write_header(Writer& w, const FlowKey& key, const std::string& payload) {
   w.u32(kMagic);
   w.u32(ArtifactStore::kFormatVersion);
   w.u64(ArtifactStore::schema_hash());
-  w.u8(static_cast<std::uint8_t>(kind));
   w.u64(key.netlist);
   w.u64(key.arch);
   w.u64(key.options);
@@ -556,16 +552,13 @@ void write_header(Writer& w, int kind, const FlowKey& key,
 
 /// Validates the framing of a loaded entry and positions `r` at the payload
 /// start. Throws CorruptEntry on any mismatch.
-void check_header(Reader& r, int kind, const FlowKey& key) {
+void check_header(Reader& r, const FlowKey& key) {
   if (r.u32() != kMagic) throw CorruptEntry("bad magic");
   if (r.u32() != ArtifactStore::kFormatVersion) {
     throw CorruptEntry("store format version mismatch");
   }
   if (r.u64() != ArtifactStore::schema_hash()) {
     throw CorruptEntry("schema hash mismatch");
-  }
-  if (r.u8() != static_cast<std::uint8_t>(kind)) {
-    throw CorruptEntry("artifact kind mismatch");
   }
   FlowKey stored;
   stored.netlist = r.u64();
@@ -584,16 +577,6 @@ void check_header(Reader& r, int kind, const FlowKey& key) {
   }
 }
 
-const char* kind_dir(int kind) {
-  switch (kind) {
-    case kExperiment: return "experiments";
-    case kMdr: return "mdr";
-    case kProbe: return "probes";
-    case kMdrRoutes: return "routes";
-    default: return "unknown";
-  }
-}
-
 /// The filename spells out the full FlowKey — the name *is* the address, so
 /// no filename collision can alias two distinct keys.
 std::string key_filename(const FlowKey& key) {
@@ -608,13 +591,32 @@ std::string key_filename(const FlowKey& key) {
   return buf;
 }
 
-/// Loads, frames and deserializes one entry; all outcomes funnel into the
-/// disk_{hits,misses,invalid} counters here so every load_* shares the
-/// failure contract.
-template <typename T, typename ReadFn>
-std::optional<T> load_entry(const std::filesystem::path& root, int kind,
-                            const FlowKey& key, const ReadFn& read_payload) {
-  const std::filesystem::path path = root / kind_dir(kind) / key_filename(key);
+}  // namespace
+
+// ---- ArtifactStore ----------------------------------------------------------
+
+std::uint64_t ArtifactStore::schema_hash() {
+  static const std::uint64_t hash =
+      fnv1a(kSchemaDescription, sizeof(kSchemaDescription) - 1);
+  return hash;
+}
+
+ArtifactStore::ArtifactStore(std::filesystem::path root)
+    : root_(std::move(root)) {
+  // Best-effort: an uncreatable directory leaves a store whose reads miss
+  // and whose writes fail gracefully (counted, never thrown).
+  std::error_code ec;
+  const std::filesystem::path dir = root_ / kExperimentDir;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    MMFLOW_WARN("artifact store: cannot create " << dir.string() << " ("
+                                                 << ec.message() << ")");
+  }
+}
+
+std::optional<MultiModeExperiment> ArtifactStore::load_experiment(
+    const FlowKey& key) const {
+  const std::filesystem::path path = root_ / kExperimentDir / key_filename(key);
   std::string bytes;
   {
     std::error_code ec;
@@ -633,10 +635,10 @@ std::optional<T> load_entry(const std::filesystem::path& root, int kind,
   }
   try {
     Reader r{bytes.data(), bytes.size(), 0};
-    check_header(r, kind, key);
-    T value = read_payload(r);
+    check_header(r, key);
+    MultiModeExperiment experiment = read_experiment(r);
     MMFLOW_PERF_ADD("flowcache.disk_hits", 1);
-    return value;
+    return experiment;
   } catch (const std::exception& e) {
     // Truncated/garbled entries and payloads that fail domain validation are
     // misses, never aborts: the flow recomputes and rewrites the entry.
@@ -647,39 +649,16 @@ std::optional<T> load_entry(const std::filesystem::path& root, int kind,
   }
 }
 
-}  // namespace
-
-// ---- ArtifactStore ----------------------------------------------------------
-
-std::uint64_t ArtifactStore::schema_hash() {
-  static const std::uint64_t hash =
-      fnv1a(kSchemaDescription, sizeof(kSchemaDescription) - 1);
-  return hash;
-}
-
-ArtifactStore::ArtifactStore(std::filesystem::path root)
-    : root_(std::move(root)) {
-  // Best-effort: an uncreatable directory leaves a store whose reads miss
-  // and whose writes fail gracefully (counted, never thrown).
-  for (const int kind : {kExperiment, kMdr, kProbe, kMdrRoutes}) {
-    std::error_code ec;
-    const std::filesystem::path dir = root_ / kind_dir(kind);
-    std::filesystem::create_directories(dir, ec);
-    if (ec) {
-      MMFLOW_WARN("artifact store: cannot create " << dir.string() << " ("
-                                                   << ec.message() << ")");
-    }
-  }
-}
-
-bool ArtifactStore::commit(int kind, const FlowKey& key,
-                           const std::string& payload) {
+bool ArtifactStore::save_experiment(const FlowKey& key,
+                                    const MultiModeExperiment& experiment) {
+  Writer payload;
+  write_experiment(payload, experiment);
   Writer entry;
-  write_header(entry, kind, key, payload);
-  entry.bytes.append(payload);
+  write_header(entry, key, payload.bytes);
+  entry.bytes.append(payload.bytes);
 
   const std::filesystem::path final_path =
-      root_ / kind_dir(kind) / key_filename(key);
+      root_ / kExperimentDir / key_filename(key);
   // One commit at a time per store: the tmp-name counter stays race-free and
   // parallel batch workers' writes land in a deterministic serial order.
   const std::lock_guard<std::mutex> lock(commit_mutex_);
@@ -711,88 +690,13 @@ bool ArtifactStore::commit(int kind, const FlowKey& key,
   return true;
 }
 
-std::optional<MultiModeExperiment> ArtifactStore::load_experiment(
-    const FlowKey& key) const {
-  return load_entry<MultiModeExperiment>(
-      root_, kExperiment, key, [](Reader& r) { return read_experiment(r); });
-}
-
-bool ArtifactStore::save_experiment(const FlowKey& key,
-                                    const MultiModeExperiment& experiment) {
-  Writer w;
-  write_experiment(w, experiment);
-  return commit(kExperiment, key, w.bytes);
-}
-
-std::optional<std::vector<ModeImpl>> ArtifactStore::load_mdr(
-    const FlowKey& key) const {
-  return load_entry<std::vector<ModeImpl>>(
-      root_, kMdr, key, [](Reader& r) {
-        std::vector<ModeImpl> mdr;
-        const std::size_t num_modes = r.count(30);
-        mdr.reserve(num_modes);
-        for (std::size_t m = 0; m < num_modes; ++m) {
-          mdr.push_back(read_mode_impl(r));
-        }
-        if (r.remaining() != 0) throw CorruptEntry("trailing bytes");
-        return mdr;
-      });
-}
-
-bool ArtifactStore::save_mdr(const FlowKey& key,
-                             const std::vector<ModeImpl>& mdr) {
-  Writer w;
-  w.u64(mdr.size());
-  for (const auto& impl : mdr) write_mode_impl(w, impl);
-  return commit(kMdr, key, w.bytes);
-}
-
-std::optional<bool> ArtifactStore::load_probe(const FlowKey& key) const {
-  return load_entry<bool>(root_, kProbe, key, [](Reader& r) {
-    const bool routable = r.u8() != 0;
-    if (r.remaining() != 0) throw CorruptEntry("trailing bytes");
-    return routable;
-  });
-}
-
-bool ArtifactStore::save_probe(const FlowKey& key, bool routable) {
-  Writer w;
-  w.u8(routable ? 1 : 0);
-  return commit(kProbe, key, w.bytes);
-}
-
-std::optional<MdrFinalRoutes> ArtifactStore::load_mdr_routes(
-    const FlowKey& key) const {
-  return load_entry<MdrFinalRoutes>(root_, kMdrRoutes, key, [](Reader& r) {
-    MdrFinalRoutes routes;
-    routes.problems.resize(r.count(12));
-    for (auto& p : routes.problems) p = read_route_problem(r);
-    routes.routings.resize(r.count(13));
-    for (auto& res : routes.routings) res = read_route_result(r);
-    if (r.remaining() != 0) throw CorruptEntry("trailing bytes");
-    return routes;
-  });
-}
-
-bool ArtifactStore::save_mdr_routes(const FlowKey& key,
-                                    const MdrFinalRoutes& routes) {
-  Writer w;
-  w.u64(routes.problems.size());
-  for (const auto& p : routes.problems) write_route_problem(w, p);
-  w.u64(routes.routings.size());
-  for (const auto& res : routes.routings) write_route_result(w, res);
-  return commit(kMdrRoutes, key, w.bytes);
-}
-
 std::size_t ArtifactStore::size() const {
   std::size_t entries = 0;
-  for (const int kind : {kExperiment, kMdr, kProbe, kMdrRoutes}) {
-    std::error_code ec;
-    std::filesystem::directory_iterator it(root_ / kind_dir(kind), ec);
-    if (ec) continue;
-    for (const auto& entry : it) {
-      if (entry.path().extension() == ".bin") ++entries;
-    }
+  std::error_code ec;
+  std::filesystem::directory_iterator it(root_ / kExperimentDir, ec);
+  if (ec) return 0;
+  for (const auto& entry : it) {
+    if (entry.path().extension() == ".bin") ++entries;
   }
   return entries;
 }

@@ -1,41 +1,39 @@
 #pragma once
 /// \file artifact_store.h
 /// On-disk, cross-process persistence layer under `core::FlowCache` — the
-/// ROADMAP's "on-disk artifact store". Every in-memory cache granularity
-/// (whole experiments, the engine-independent MDR bundle, per-width MDR
-/// routability probes, final-width MDR routes) gets a content-addressed
-/// file keyed by its `FlowKey` structural hashes, so a second process —
-/// or a sharded batch on another machine sharing the directory — replays
-/// a first process's work as cache hits with bit-identical QoR.
+/// ROADMAP's "on-disk artifact store". Every finished experiment gets one
+/// content-addressed file keyed by its `FlowKey` structural hashes, so a
+/// second process — or a sharded batch on another machine sharing the
+/// directory — replays a first process's finished jobs as cache hits with
+/// bit-identical QoR. The sub-experiment artifacts (MDR bundle, width
+/// probes, final MDR routes) are cached in memory only: no run reads them
+/// back from disk, so the store holds exactly one entry per finished job.
 ///
 /// ## Store layout and entry format (docs/CACHING.md has the full spec)
 ///
 /// ```
 /// <root>/experiments/<key>.bin   MultiModeExperiment
-/// <root>/mdr/<key>.bin           std::vector<ModeImpl>
-/// <root>/probes/<key>.bin        bool (routability at key.width)
-/// <root>/routes/<key>.bin        MdrFinalRoutes
 /// ```
 ///
 /// `<key>` spells out all seven FlowKey fields in hex, so the filename *is*
 /// the full key — no filename-hash collision can substitute a wrong
 /// artifact. Every entry starts with a fixed header: magic, store-format
 /// version, schema hash (an FNV over a description of the serialized field
-/// layout — bumping either invalidates every stale entry cleanly), the
-/// artifact kind, the full FlowKey again, and the payload size + FNV
-/// checksum. A little-endian, fixed-width binary payload follows.
+/// layout — bumping either invalidates every stale entry cleanly), the full
+/// FlowKey again, and the payload size + FNV checksum. A little-endian,
+/// fixed-width binary payload follows.
 ///
 /// ## Failure contract
 ///
 /// Reads are corruption-tolerant by construction: a missing file, a
-/// truncated or garbled entry, a format/schema/kind/key mismatch, or a
-/// payload that fails domain validation during deserialization is a cache
-/// *miss* (`std::nullopt`), never an abort — the flow recomputes and
-/// rewrites. Writes are atomic (tmp file + rename) and best-effort: an
-/// unwritable directory degrades the store to read-only (or to a no-op)
-/// without failing the flow. Outcomes are counted as
-/// `flowcache.disk_hits` / `disk_misses` / `disk_invalid` /
-/// `disk_writes` / `disk_write_errors` (disjoint per lookup/commit).
+/// truncated or garbled entry, a format/schema/key mismatch, or a payload
+/// that fails domain validation during deserialization is a cache *miss*
+/// (`std::nullopt`), never an abort — the flow recomputes and rewrites.
+/// Writes are atomic (tmp file + rename) and best-effort: an unwritable
+/// directory degrades the store to read-only (or to a no-op) without
+/// failing the flow. Outcomes are counted as `flowcache.disk_hits` /
+/// `disk_misses` / `disk_invalid` / `disk_writes` / `disk_write_errors`
+/// (disjoint per lookup/commit).
 ///
 /// ## Determinism contract
 ///
@@ -59,7 +57,6 @@
 #include <filesystem>
 #include <mutex>
 #include <optional>
-#include <vector>
 
 #include "core/flows.h"
 
@@ -68,8 +65,8 @@ namespace mmflow::core {
 class ArtifactStore {
  public:
   /// Bumped on any change to the header layout; readers reject other
-  /// versions as invalid (a clean miss).
-  static constexpr std::uint32_t kFormatVersion = 1;
+  /// versions as invalid (a clean miss). 2: no artifact-kind byte.
+  static constexpr std::uint32_t kFormatVersion = 2;
 
   /// Hash of the payload field layout (see kSchemaDescription in the .cpp);
   /// entries written under a different schema are invalid (a clean miss).
@@ -80,34 +77,18 @@ class ArtifactStore {
   /// gracefully — a flow with a broken cache dir still completes.
   explicit ArtifactStore(std::filesystem::path root);
 
-  [[nodiscard]] const std::filesystem::path& root() const { return root_; }
-
-  // Each load returns the artifact, or nullopt on a miss (absent file) or an
-  // invalid entry (see the failure contract above). Each save returns
-  // whether the entry was committed.
+  /// Returns the experiment, or nullopt on a miss (absent file) or an
+  /// invalid entry (see the failure contract above).
   [[nodiscard]] std::optional<MultiModeExperiment> load_experiment(
       const FlowKey& key) const;
+  /// Returns whether the entry was committed.
   bool save_experiment(const FlowKey& key,
                        const MultiModeExperiment& experiment);
 
-  [[nodiscard]] std::optional<std::vector<ModeImpl>> load_mdr(
-      const FlowKey& key) const;
-  bool save_mdr(const FlowKey& key, const std::vector<ModeImpl>& mdr);
-
-  [[nodiscard]] std::optional<bool> load_probe(const FlowKey& key) const;
-  bool save_probe(const FlowKey& key, bool routable);
-
-  [[nodiscard]] std::optional<MdrFinalRoutes> load_mdr_routes(
-      const FlowKey& key) const;
-  bool save_mdr_routes(const FlowKey& key, const MdrFinalRoutes& routes);
-
-  /// Committed entry files across all four kinds (diagnostics; walks the
-  /// directory).
+  /// Committed entry files (diagnostics; walks the directory).
   [[nodiscard]] std::size_t size() const;
 
  private:
-  bool commit(int kind, const FlowKey& key, const std::string& payload);
-
   std::filesystem::path root_;
   mutable std::mutex commit_mutex_;  ///< serializes writes (tmp names, rename)
   std::uint64_t tmp_counter_ = 0;    ///< guarded by commit_mutex_

@@ -80,12 +80,13 @@ struct BatchOptions {
   int jobs = 1;
   /// Memoize flow artifacts across jobs (see core/flows.h for granularity).
   bool use_cache = true;
-  /// Non-empty: persist the flow cache across processes by attaching a
-  /// `core::ArtifactStore` rooted at this directory (requires `use_cache`).
-  /// All workers share the one store; its commit path serializes writes, so
-  /// parallel batches stay deterministic and a later batch process — or a
-  /// shard on another machine sharing the directory — starts warm. See
-  /// docs/CACHING.md.
+  /// Non-empty: persist finished experiments across processes by attaching
+  /// a `core::ArtifactStore` rooted at this directory (requires
+  /// `use_cache`); the sub-experiment caches stay in memory. All workers
+  /// share the one store; its commit path serializes writes, so parallel
+  /// batches stay deterministic and a later batch process — or a shard on
+  /// another machine sharing the directory — replays the finished jobs.
+  /// See docs/CACHING.md.
   std::string cache_dir;
   /// Per-job wall-clock deadline in milliseconds; 0 = none, negative is
   /// rejected by the driver's constructor. Cooperative:

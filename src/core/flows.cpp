@@ -119,7 +119,6 @@ std::uint64_t hash_flow_options(const FlowOptions& options) {
   fnv.u64(kWidthSearchVersion);
   fnv.f64(options.area_slack);
   fnv.f64(options.width_slack);
-  fnv.byte(static_cast<std::uint8_t>(options.encoding));
   fnv.f64(options.anneal.inner_num);
   fnv.f64(options.anneal.init_t_factor);
   fnv.f64(options.anneal.exit_t_fraction);
@@ -133,7 +132,6 @@ std::uint64_t hash_flow_options(const FlowOptions& options) {
   fnv.f64(r.share_discount);
   fnv.f64(r.align_discount);
   fnv.f64(r.astar_fac);
-  fnv.u64(r.seed);
   fnv.i64(options.max_channel_width);
   fnv.byte(options.tplace_from_scratch_for_edgematch ? 1 : 0);
   // timing_tradeoff is deliberately NOT hashed here: it rides in
@@ -141,6 +139,9 @@ std::uint64_t hash_flow_options(const FlowOptions& options) {
   // MDR artifacts share cache entries across a tradeoff sweep and every
   // hash is bit-identical to the ones produced before the knob existed.
   // route_jobs and RouterOptions::jobs are not hashed: both must be 1.
+  // encoding is not hashed either: no flow stage reads it (it only selects
+  // the metric encoding applied to a finished experiment), so two encodings
+  // of one experiment share one entry.
   return fnv.h;
 }
 
@@ -161,11 +162,6 @@ std::size_t FlowKeyHash::operator()(const FlowKey& key) const noexcept {
 void FlowCache::attach_store(std::shared_ptr<ArtifactStore> store) {
   const std::lock_guard<std::mutex> lock(mutex_);
   store_ = std::move(store);
-}
-
-std::shared_ptr<ArtifactStore> FlowCache::store() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return store_;
 }
 
 std::shared_ptr<const MultiModeExperiment> FlowCache::find_experiment(
@@ -213,7 +209,6 @@ std::shared_ptr<const std::vector<ModeImpl>> FlowCache::mdr_or_compute(
     const std::function<std::vector<ModeImpl>()>& compute) {
   std::shared_future<std::shared_ptr<const std::vector<ModeImpl>>> waiting;
   std::promise<std::shared_ptr<const std::vector<ModeImpl>>> promise;
-  std::shared_ptr<ArtifactStore> store;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = mdr_.find(key);
@@ -227,7 +222,6 @@ std::shared_ptr<const std::vector<ModeImpl>> FlowCache::mdr_or_compute(
     } else {
       MMFLOW_PERF_ADD("flowcache.mdr_misses", 1);
       mdr_inflight_.emplace(key, promise.get_future().share());
-      store = store_;
     }
   }
   if (waiting.valid()) {
@@ -238,18 +232,7 @@ std::shared_ptr<const std::vector<ModeImpl>> FlowCache::mdr_or_compute(
   }
   std::shared_ptr<const std::vector<ModeImpl>> value;
   try {
-    // Disk read-through before computing; the in-flight registration above
-    // already makes this thread the single loader/computer/writer for the
-    // key, so store reads and the write-behind are naturally serialized.
-    std::optional<std::vector<ModeImpl>> loaded;
-    if (store != nullptr) loaded = store->load_mdr(key);
-    if (loaded.has_value()) {
-      value =
-          std::make_shared<const std::vector<ModeImpl>>(std::move(*loaded));
-    } else {
-      value = std::make_shared<const std::vector<ModeImpl>>(compute());
-      if (store != nullptr) store->save_mdr(key, *value);
-    }
+    value = std::make_shared<const std::vector<ModeImpl>>(compute());
   } catch (...) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -268,72 +251,38 @@ std::shared_ptr<const std::vector<ModeImpl>> FlowCache::mdr_or_compute(
 }
 
 std::optional<bool> FlowCache::find_probe(const FlowKey& key) {
-  std::shared_ptr<ArtifactStore> store;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = probes_.find(key);
-    if (it != probes_.end()) {
-      MMFLOW_PERF_ADD("flowcache.probe_hits", 1);
-      return it->second;
-    }
-    MMFLOW_PERF_ADD("flowcache.probe_misses", 1);
-    store = store_;
-  }
-  if (store == nullptr) return std::nullopt;
-  const auto loaded = store->load_probe(key);
-  if (!loaded.has_value()) return std::nullopt;
   const std::lock_guard<std::mutex> lock(mutex_);
-  return probes_.try_emplace(key, *loaded).first->second;
+  const auto it = probes_.find(key);
+  if (it == probes_.end()) {
+    MMFLOW_PERF_ADD("flowcache.probe_misses", 1);
+    return std::nullopt;
+  }
+  MMFLOW_PERF_ADD("flowcache.probe_hits", 1);
+  return it->second;
 }
 
 bool FlowCache::store_probe(const FlowKey& key, bool routable) {
-  std::shared_ptr<ArtifactStore> store;
-  bool stored = routable;
-  bool inserted = false;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, fresh] = probes_.try_emplace(key, routable);
-    stored = it->second;
-    inserted = fresh;
-    store = store_;
-  }
-  if (inserted && store != nullptr) store->save_probe(key, stored);
-  return stored;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return probes_.try_emplace(key, routable).first->second;
 }
 
 std::shared_ptr<const MdrFinalRoutes> FlowCache::find_mdr_routes(
     const FlowKey& key) {
-  std::shared_ptr<ArtifactStore> store;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = mdr_routes_.find(key);
-    if (it != mdr_routes_.end()) {
-      MMFLOW_PERF_ADD("flowcache.final_route_hits", 1);
-      return it->second;
-    }
-    MMFLOW_PERF_ADD("flowcache.final_route_misses", 1);
-    store = store_;
-  }
-  if (store == nullptr) return nullptr;
-  auto loaded = store->load_mdr_routes(key);
-  if (!loaded.has_value()) return nullptr;
-  auto value = std::make_shared<const MdrFinalRoutes>(std::move(*loaded));
   const std::lock_guard<std::mutex> lock(mutex_);
-  return mdr_routes_.try_emplace(key, std::move(value)).first->second;
+  const auto it = mdr_routes_.find(key);
+  if (it == mdr_routes_.end()) {
+    MMFLOW_PERF_ADD("flowcache.final_route_misses", 1);
+    return nullptr;
+  }
+  MMFLOW_PERF_ADD("flowcache.final_route_hits", 1);
+  return it->second;
 }
 
 std::shared_ptr<const MdrFinalRoutes> FlowCache::store_mdr_routes(
     const FlowKey& key, MdrFinalRoutes routes) {
   auto value = std::make_shared<const MdrFinalRoutes>(std::move(routes));
-  std::shared_ptr<ArtifactStore> store;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, inserted] = mdr_routes_.try_emplace(key, value);
-    if (!inserted) return it->second;
-    store = store_;
-  }
-  if (store != nullptr) store->save_mdr_routes(key, *value);
-  return value;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return mdr_routes_.try_emplace(key, std::move(value)).first->second;
 }
 
 std::size_t FlowCache::size() const {

@@ -27,20 +27,23 @@
 ///    granularities: whole experiments, the engine-independent MDR bundle
 ///    (per-mode placements + route specs), per-width MDR routability probes,
 ///    and the final-width MDR routings. The sub-experiment entries are what
-///    make cost-engine comparisons cheap: the MDR side of an EdgeMatch run
-///    is bit-identical to the MDR side of a WireLength run, so the second
-///    engine reuses it instead of re-annealing and re-routing.
+///    make cost-engine comparisons within one process cheap: the MDR side
+///    of an EdgeMatch run is bit-identical to the MDR side of a WireLength
+///    run, so the second engine reuses it instead of re-annealing and
+///    re-routing.
 ///  * `RrgCache` — shares immutable `arch::RoutingGraph` instances across
 ///    runs (keyed by the full ArchSpec, including channel width). One batch
 ///    of seed restarts probes the same widths over and over; the graph is
 ///    built once per width.
 ///
-/// Since PR 5 a `FlowCache` can additionally persist across processes: an
-/// attached `core::ArtifactStore` (see core/artifact_store.h and
-/// docs/CACHING.md) makes memory misses read through to content-addressed
-/// on-disk entries and writes freshly computed artifacts behind, so a warm
-/// second process reproduces a cold first process's QoR bit-identically
-/// while skipping the cached work.
+/// Since PR 5 a `FlowCache` can additionally persist whole experiments
+/// across processes: an attached `core::ArtifactStore` (see
+/// core/artifact_store.h and docs/CACHING.md) makes experiment misses read
+/// through to content-addressed on-disk entries and writes freshly computed
+/// experiments behind, so a warm second process reproduces a cold first
+/// process's QoR bit-identically while skipping the finished jobs. The
+/// three sub-experiment granularities stay in memory: no run reads them
+/// back from disk.
 ///
 /// **Determinism contract**: every cached value is the output of a
 /// deterministic function of its key, so a cache hit returns exactly the
@@ -101,6 +104,9 @@ struct FlowOptions {
   std::uint64_t seed = 1;
   double area_slack = 1.2;        ///< paper: square area 20% above minimum
   double width_slack = 1.2;       ///< paper: channel width 20% above minimum
+  /// Mux encoding for the bit counts of a finished experiment
+  /// (`core::reconfig_metrics`). No flow stage reads it, so it is not part
+  /// of `hash_flow_options`.
   bitstream::MuxEncoding encoding = bitstream::MuxEncoding::Binary;
   place::AnnealOptions anneal;    ///< shared by all SA runs
   route::RouterOptions router;
@@ -231,19 +237,21 @@ struct MdrFinalRoutes {
 /// ownership and thread-safety contracts). Every lookup bumps a
 /// `flowcache.<kind>_hits` / `flowcache.<kind>_misses` perf counter.
 ///
-/// With an `ArtifactStore` attached (see `attach_store`), the cache becomes
-/// a two-level hierarchy: memory misses read through to the on-disk store
-/// (`flowcache.disk_hits`; loaded entries are promoted into memory), and
-/// every `store_*` of a freshly computed artifact writes behind to disk
-/// (`flowcache.disk_writes`) — so a later process starts warm. All disk
-/// failure modes degrade to misses; see core/artifact_store.h.
+/// With an `ArtifactStore` attached (see `attach_store`), whole experiments
+/// form a two-level hierarchy: a memory miss in `find_experiment` reads
+/// through to the on-disk store (`flowcache.disk_hits`; loaded entries are
+/// promoted into memory), and `store_experiment` of a freshly computed
+/// experiment writes behind to disk (`flowcache.disk_writes`) — so a later
+/// process starts warm. All disk failure modes degrade to misses; see
+/// core/artifact_store.h. The MDR bundle, probe and final-route maps are
+/// memory-only.
 class FlowCache {
  public:
-  /// Attaches (or, with nullptr, detaches) the persistence layer. Not
-  /// thread-safe against concurrent lookups — attach before handing the
-  /// cache to flow jobs. The store may be shared by several caches.
+  /// Attaches (or, with nullptr, detaches) the persistence layer for whole
+  /// experiments. Not thread-safe against concurrent lookups — attach
+  /// before handing the cache to flow jobs. The store may be shared by
+  /// several caches.
   void attach_store(std::shared_ptr<ArtifactStore> store);
-  [[nodiscard]] std::shared_ptr<ArtifactStore> store() const;
 
   std::shared_ptr<const MultiModeExperiment> find_experiment(
       const FlowKey& key);
@@ -270,7 +278,8 @@ class FlowCache {
   std::shared_ptr<const MdrFinalRoutes> store_mdr_routes(const FlowKey& key,
                                                          MdrFinalRoutes routes);
 
-  /// Total entries across all four maps.
+  /// Total in-memory entries across all four maps (experiments, MDR
+  /// bundles, probes, final MDR routes).
   [[nodiscard]] std::size_t size() const;
   void clear();
 
@@ -293,8 +302,8 @@ class FlowCache {
   std::unordered_map<FlowKey, std::shared_ptr<const MdrFinalRoutes>,
                      FlowKeyHash>
       mdr_routes_;
-  /// Optional on-disk second level (core/artifact_store.h); null = memory
-  /// only, the pre-PR 5 behaviour.
+  /// Optional on-disk second level for `experiments_`
+  /// (core/artifact_store.h); null = memory only, the pre-PR 5 behaviour.
   std::shared_ptr<ArtifactStore> store_;
 };
 

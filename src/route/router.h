@@ -40,7 +40,6 @@
 #include "arch/rrg.h"
 #include "bitstream/config_model.h"
 #include "common/cancel.h"
-#include "common/rng.h"
 
 namespace mmflow::route {
 
@@ -88,7 +87,6 @@ struct RouterOptions {
   /// A* heuristic weight (1.0 = admissible; slightly above trades quality
   /// for speed).
   double astar_fac = 1.2;
-  std::uint64_t seed = 1;
   /// Must be 1; `route()` rejects any other value. Routing is sequential,
   /// and the field exists only so the frozen benchmark replica under
   /// dcsbench/ (which copies `FlowOptions::route_jobs` into it) compiles.

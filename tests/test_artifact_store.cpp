@@ -60,8 +60,9 @@ FlowKey sample_key() {
   return key;
 }
 
-MdrFinalRoutes sample_routes() {
-  MdrFinalRoutes routes;
+/// A small hand-built experiment (no flow run behind it): enough payload
+/// for the entry-level failure paths.
+MultiModeExperiment sample_experiment() {
   route::RouteProblem problem;
   problem.num_modes = 1;
   route::RouteNet net;
@@ -79,9 +80,14 @@ MdrFinalRoutes sample_routes() {
   conn.nodes = {3, 5, 7};
   conn.edges = {1, 2};
   result.conns.push_back(conn);
-  routes.problems = {problem};
-  routes.routings = {result};
-  return routes;
+  MultiModeExperiment experiment;
+  experiment.min_width = 6;
+  experiment.mdr_problems = {problem};
+  experiment.mdr_routing = {result};
+  experiment.dcs_problem = problem;
+  experiment.dcs_routing = result;
+  experiment.total_mode_connections = 1;
+  return experiment;
 }
 
 /// A pair of structurally similar small mode circuits (fast to place/route;
@@ -208,87 +214,82 @@ TEST(CanonicalHash, PinnedValuesForNormalInputs) {
   // store addresses entries by these hashes, so any drift silently orphans
   // every existing cache (and -0.0/NaN canonicalization must not move the
   // hash of normal inputs). Update only on a deliberate key break: a
-  // format break (together with ArtifactStore::kFormatVersion) or a change
+  // format break (together with ArtifactStore::kFormatVersion), a change
   // of what a width probe returns (together with flows.cpp's
-  // kWidthSearchVersion, which last moved these values).
-  EXPECT_EQ(hash_flow_options(FlowOptions{}), 0xd48bba4f10b91bd1ULL);
+  // kWidthSearchVersion), or a change of which knobs are hashed (the last
+  // move: RouterOptions::seed was deleted and FlowOptions::encoding, which
+  // no flow stage reads, left the hash).
+  EXPECT_EQ(hash_flow_options(FlowOptions{}), 0xbe859088b884d032ULL);
 
   FlowOptions fast;
   fast.anneal.inner_num = 2.0;
-  EXPECT_EQ(hash_flow_options(fast), 0x19c8492d6a1526e5ULL);
+  EXPECT_EQ(hash_flow_options(fast), 0xec3c6792d7094c5eULL);
 
   FlowOptions tweaked;
   tweaked.area_slack = 1.5;
   tweaked.width_slack = 1.3;
   tweaked.max_channel_width = 64;
-  EXPECT_EQ(hash_flow_options(tweaked), 0xebf9a2c020818848ULL);
+  EXPECT_EQ(hash_flow_options(tweaked), 0xbf778977bc441acdULL);
 
   EXPECT_EQ(FlowKeyHash{}(sample_key()), 0x88fffb80f3863542ULL);
 }
 
 // ---- entry-level failure paths ----------------------------------------------
 
-TEST(ArtifactStore, ProbeRoundtrip) {
+TEST(ArtifactStore, ExperimentEntryRoundtrip) {
   TempDir dir;
   ArtifactStore store(dir.path);
   const auto key = sample_key();
 
   const auto misses = counter("flowcache.disk_misses");
-  EXPECT_FALSE(store.load_probe(key).has_value());
+  EXPECT_FALSE(store.load_experiment(key).has_value());
   EXPECT_EQ(counter("flowcache.disk_misses"), misses + 1);
 
   const auto writes = counter("flowcache.disk_writes");
-  EXPECT_TRUE(store.save_probe(key, true));
+  EXPECT_TRUE(store.save_experiment(key, sample_experiment()));
   EXPECT_EQ(counter("flowcache.disk_writes"), writes + 1);
 
   const auto hits = counter("flowcache.disk_hits");
-  const auto loaded = store.load_probe(key);
+  const auto loaded = store.load_experiment(key);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_TRUE(*loaded);
   EXPECT_EQ(counter("flowcache.disk_hits"), hits + 1);
   EXPECT_EQ(store.size(), 1u);
-}
-
-TEST(ArtifactStore, MdrRoutesRoundtrip) {
-  TempDir dir;
-  ArtifactStore store(dir.path);
-  const auto key = sample_key();
-  ASSERT_TRUE(store.save_mdr_routes(key, sample_routes()));
-  const auto loaded = store.load_mdr_routes(key);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->problems.size(), 1u);
-  EXPECT_EQ(loaded->problems[0].nets[0].name, "n0");
-  EXPECT_EQ(loaded->problems[0].nets[0].source_node, 3u);
-  ASSERT_EQ(loaded->routings.size(), 1u);
-  expect_same_routing(loaded->routings[0], sample_routes().routings[0]);
+  EXPECT_EQ(loaded->min_width, 6);
+  ASSERT_EQ(loaded->mdr_problems.size(), 1u);
+  EXPECT_EQ(loaded->mdr_problems[0].nets[0].name, "n0");
+  EXPECT_EQ(loaded->mdr_problems[0].nets[0].source_node, 3u);
+  ASSERT_EQ(loaded->mdr_routing.size(), 1u);
+  expect_same_routing(loaded->mdr_routing[0],
+                      sample_experiment().mdr_routing[0]);
+  expect_same_routing(loaded->dcs_routing, sample_experiment().dcs_routing);
 }
 
 TEST(ArtifactStore, TruncatedEntryIsInvalidNotFatal) {
   TempDir dir;
   ArtifactStore store(dir.path);
   const auto key = sample_key();
-  ASSERT_TRUE(store.save_mdr_routes(key, sample_routes()));
-  const auto path = only_entry(dir.path / "routes");
+  ASSERT_TRUE(store.save_experiment(key, sample_experiment()));
+  const auto path = only_entry(dir.path / "experiments");
   truncate_file(path, fs::file_size(path) / 2);
 
   const auto invalid = counter("flowcache.disk_invalid");
-  EXPECT_FALSE(store.load_mdr_routes(key).has_value());
+  EXPECT_FALSE(store.load_experiment(key).has_value());
   EXPECT_EQ(counter("flowcache.disk_invalid"), invalid + 1);
 
   // Recomputation rewrites the entry; the store recovers.
-  ASSERT_TRUE(store.save_mdr_routes(key, sample_routes()));
-  EXPECT_TRUE(store.load_mdr_routes(key).has_value());
+  ASSERT_TRUE(store.save_experiment(key, sample_experiment()));
+  EXPECT_TRUE(store.load_experiment(key).has_value());
 }
 
 TEST(ArtifactStore, WrongFormatVersionIsInvalid) {
   TempDir dir;
   ArtifactStore store(dir.path);
   const auto key = sample_key();
-  ASSERT_TRUE(store.save_probe(key, true));
-  flip_byte(only_entry(dir.path / "probes"), 4);  // format version field
+  ASSERT_TRUE(store.save_experiment(key, sample_experiment()));
+  flip_byte(only_entry(dir.path / "experiments"), 4);  // format version field
 
   const auto invalid = counter("flowcache.disk_invalid");
-  EXPECT_FALSE(store.load_probe(key).has_value());
+  EXPECT_FALSE(store.load_experiment(key).has_value());
   EXPECT_EQ(counter("flowcache.disk_invalid"), invalid + 1);
 }
 
@@ -296,11 +297,11 @@ TEST(ArtifactStore, WrongSchemaHashIsInvalid) {
   TempDir dir;
   ArtifactStore store(dir.path);
   const auto key = sample_key();
-  ASSERT_TRUE(store.save_probe(key, true));
-  flip_byte(only_entry(dir.path / "probes"), 8);  // schema hash field
+  ASSERT_TRUE(store.save_experiment(key, sample_experiment()));
+  flip_byte(only_entry(dir.path / "experiments"), 8);  // schema hash field
 
   const auto invalid = counter("flowcache.disk_invalid");
-  EXPECT_FALSE(store.load_probe(key).has_value());
+  EXPECT_FALSE(store.load_experiment(key).has_value());
   EXPECT_EQ(counter("flowcache.disk_invalid"), invalid + 1);
 }
 
@@ -308,27 +309,12 @@ TEST(ArtifactStore, GarbledPayloadFailsChecksum) {
   TempDir dir;
   ArtifactStore store(dir.path);
   const auto key = sample_key();
-  ASSERT_TRUE(store.save_mdr_routes(key, sample_routes()));
-  const auto path = only_entry(dir.path / "routes");
+  ASSERT_TRUE(store.save_experiment(key, sample_experiment()));
+  const auto path = only_entry(dir.path / "experiments");
   flip_byte(path, fs::file_size(path) - 1);  // last payload byte
 
   const auto invalid = counter("flowcache.disk_invalid");
-  EXPECT_FALSE(store.load_mdr_routes(key).has_value());
-  EXPECT_EQ(counter("flowcache.disk_invalid"), invalid + 1);
-}
-
-TEST(ArtifactStore, KindMismatchIsInvalid) {
-  TempDir dir;
-  ArtifactStore store(dir.path);
-  const auto key = sample_key();
-  ASSERT_TRUE(store.save_probe(key, true));
-  const auto probe_file = only_entry(dir.path / "probes");
-  // A probe entry smuggled into the routes directory must not deserialize
-  // as routes: the kind byte in the header catches it.
-  fs::copy_file(probe_file, dir.path / "routes" / probe_file.filename());
-
-  const auto invalid = counter("flowcache.disk_invalid");
-  EXPECT_FALSE(store.load_mdr_routes(key).has_value());
+  EXPECT_FALSE(store.load_experiment(key).has_value());
   EXPECT_EQ(counter("flowcache.disk_invalid"), invalid + 1);
 }
 
@@ -338,20 +324,20 @@ TEST(ArtifactStore, KeyMismatchIsInvalid) {
   const auto key = sample_key();
   FlowKey other = key;
   other.seed = 999;
-  ASSERT_TRUE(store.save_probe(key, true));
-  const auto key_file = only_entry(dir.path / "probes");
-  ASSERT_TRUE(store.save_probe(other, false));
+  ASSERT_TRUE(store.save_experiment(key, sample_experiment()));
+  const auto key_file = only_entry(dir.path / "experiments");
+  ASSERT_TRUE(store.save_experiment(other, sample_experiment()));
   // Overwrite `other`'s entry with `key`'s bytes: the full key embedded in
   // the header must reject the imposter even though the filename matches.
   fs::path other_file;
-  for (const auto& entry : fs::directory_iterator(dir.path / "probes")) {
+  for (const auto& entry : fs::directory_iterator(dir.path / "experiments")) {
     if (entry.path() != key_file) other_file = entry.path();
   }
   ASSERT_FALSE(other_file.empty());
   fs::copy_file(key_file, other_file, fs::copy_options::overwrite_existing);
 
   const auto invalid = counter("flowcache.disk_invalid");
-  EXPECT_FALSE(store.load_probe(other).has_value());
+  EXPECT_FALSE(store.load_experiment(other).has_value());
   EXPECT_EQ(counter("flowcache.disk_invalid"), invalid + 1);
 }
 
@@ -367,32 +353,32 @@ TEST(ArtifactStore, UnwritableRootDegradesGracefully) {
   ArtifactStore store(bogus);
   const auto key = sample_key();
   const auto errors = counter("flowcache.disk_write_errors");
-  EXPECT_FALSE(store.save_probe(key, true));
+  EXPECT_FALSE(store.save_experiment(key, sample_experiment()));
   EXPECT_GE(counter("flowcache.disk_write_errors"), errors + 1);
-  EXPECT_FALSE(store.load_probe(key).has_value());
+  EXPECT_FALSE(store.load_experiment(key).has_value());
   EXPECT_EQ(store.size(), 0u);
 
   // Through the FlowCache the broken store is equally invisible: lookups
   // miss, stores still land in memory.
   FlowCache cache;
   cache.attach_store(std::make_shared<ArtifactStore>(bogus));
-  EXPECT_FALSE(cache.find_probe(key).has_value());
-  EXPECT_TRUE(cache.store_probe(key, true));
-  EXPECT_TRUE(cache.find_probe(key).has_value());
+  EXPECT_EQ(cache.find_experiment(key), nullptr);
+  EXPECT_NE(cache.store_experiment(key, sample_experiment()), nullptr);
+  EXPECT_NE(cache.find_experiment(key), nullptr);
 }
 
 TEST(ArtifactStore, ConcurrentWritersToOneKeyLandWholeEntries) {
   TempDir dir;
   ArtifactStore store(dir.path);
   const auto key = sample_key();
-  const auto routes = sample_routes();
+  const auto experiment = sample_experiment();
 
   std::vector<std::thread> writers;
   writers.reserve(8);
   for (int t = 0; t < 8; ++t) {
-    writers.emplace_back([&store, &key, &routes] {
+    writers.emplace_back([&store, &key, &experiment] {
       for (int i = 0; i < 4; ++i) {
-        EXPECT_TRUE(store.save_mdr_routes(key, routes));
+        EXPECT_TRUE(store.save_experiment(key, experiment));
       }
     });
   }
@@ -400,10 +386,10 @@ TEST(ArtifactStore, ConcurrentWritersToOneKeyLandWholeEntries) {
 
   // Whoever won, the committed entry is whole and valid (atomic renames,
   // identical bytes) and no tmp files leak.
-  const auto loaded = store.load_mdr_routes(key);
+  const auto loaded = store.load_experiment(key);
   ASSERT_TRUE(loaded.has_value());
-  expect_same_routing(loaded->routings[0], routes.routings[0]);
-  for (const auto& entry : fs::directory_iterator(dir.path / "routes")) {
+  expect_same_routing(loaded->dcs_routing, experiment.dcs_routing);
+  for (const auto& entry : fs::directory_iterator(dir.path / "experiments")) {
     EXPECT_EQ(entry.path().extension(), ".bin")
         << "leftover tmp file " << entry.path();
   }
@@ -416,7 +402,7 @@ TEST(ArtifactStore, WarmProcessReproducesColdRunBitIdentically) {
   const auto modes = two_modes(30, 11);
   const auto options = fast_options(CombinedCost::WireLength, 3);
 
-  // "Process" 1: cold — computes everything, writes behind.
+  // "Process" 1: cold — computes everything, writes the experiment behind.
   std::shared_ptr<const MultiModeExperiment> cold;
   const auto writes = counter("flowcache.disk_writes");
   {
@@ -425,7 +411,7 @@ TEST(ArtifactStore, WarmProcessReproducesColdRunBitIdentically) {
     cache.attach_store(std::make_shared<ArtifactStore>(dir.path));
     cold = run_experiment_shared(modes, options, FlowContext{&cache, &rrgs});
   }
-  EXPECT_GT(counter("flowcache.disk_writes"), writes);
+  EXPECT_EQ(counter("flowcache.disk_writes"), writes + 1);
 
   // "Process" 2: a fresh cache over the same directory — the whole
   // experiment must come back from disk, bit-identical.
@@ -439,7 +425,7 @@ TEST(ArtifactStore, WarmProcessReproducesColdRunBitIdentically) {
   expect_same_experiment(*cold, *warm);
 }
 
-TEST(ArtifactStore, EngineSweepSharesMdrArtifactsAcrossProcesses) {
+TEST(ArtifactStore, EngineSweepInALaterProcessRecomputesMdrSideIdentically) {
   TempDir dir;
   const auto modes = two_modes(30, 12);
 
@@ -453,20 +439,26 @@ TEST(ArtifactStore, EngineSweepSharesMdrArtifactsAcrossProcesses) {
                                   FlowContext{&cache, &rrgs});
   }
 
-  // A fresh "process" running the *other* engine misses the experiment
-  // entry but replays the engine-independent MDR bundle, width probes and
-  // final MDR routes from disk — the MDR side must be bit-identical.
+  // A fresh "process" running the *other* engine has nothing on disk to
+  // read — the store keeps whole experiments only — so it recomputes the
+  // MDR side, which must come out bit-identical, and writes exactly its
+  // own experiment entry.
   const auto hits = counter("flowcache.disk_hits");
+  const auto writes = counter("flowcache.disk_writes");
   FlowCache cache;
   RrgCache rrgs;
   cache.attach_store(std::make_shared<ArtifactStore>(dir.path));
   const auto second = run_experiment_shared(
       modes, fast_options(CombinedCost::EdgeMatch, 3),
       FlowContext{&cache, &rrgs});
-  EXPECT_GE(counter("flowcache.disk_hits") - hits, 3u);
+  EXPECT_EQ(counter("flowcache.disk_hits"), hits);
+  EXPECT_EQ(counter("flowcache.disk_writes"), writes + 1);
+  EXPECT_EQ(ArtifactStore(dir.path).size(), 2u);
 
   ASSERT_EQ(first->mdr.size(), second->mdr.size());
   for (std::size_t m = 0; m < first->mdr.size(); ++m) {
+    ASSERT_EQ(first->mdr[m].placement.num_blocks(),
+              second->mdr[m].placement.num_blocks());
     for (std::uint32_t blk = 0; blk < first->mdr[m].placement.num_blocks();
          ++blk) {
       EXPECT_EQ(first->mdr[m].placement.site_of(blk),
@@ -494,8 +486,7 @@ TEST(ArtifactStore, CorruptExperimentEntryRecomputesAndHeals) {
   const auto entry = only_entry(dir.path / "experiments");
   truncate_file(entry, fs::file_size(entry) / 3);
 
-  // Warm run over the corrupted entry: invalid -> recompute (the MDR/probe/
-  // route sub-entries still hit) -> rewrite.
+  // Warm run over the corrupted entry: invalid -> recompute -> rewrite.
   const auto invalid = counter("flowcache.disk_invalid");
   std::shared_ptr<const MultiModeExperiment> warm;
   {
@@ -537,6 +528,8 @@ TEST(ArtifactStore, BatchDriverSharesOneStoreAcrossWorkers) {
   for (const auto& result : cold) {
     ASSERT_TRUE(result.experiment != nullptr) << result.error;
   }
+  // One entry per finished job: the sub-experiment artifacts stay in memory.
+  EXPECT_EQ(ArtifactStore(dir.path).size(), 2u);
 
   // A second driver (fresh process's worth of state) over the same
   // directory replays both seeds from disk, bit-identically.

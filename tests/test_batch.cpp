@@ -286,6 +286,11 @@ TEST(Batch, FlowHashesAreStructural) {
   reseeded.seed = options.seed + 1;
   reseeded.cost_engine = CombinedCost::EdgeMatch;
   EXPECT_EQ(hash_flow_options(options), hash_flow_options(reseeded));
+  // The mux encoding only selects how a finished experiment's bits are
+  // counted; no flow stage reads it, so both encodings share one entry.
+  auto one_hot = options;
+  one_hot.encoding = bitstream::MuxEncoding::OneHot;
+  EXPECT_EQ(hash_flow_options(options), hash_flow_options(one_hot));
 }
 
 }  // namespace

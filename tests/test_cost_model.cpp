@@ -208,9 +208,9 @@ TEST(CostModelGolden, FlowOptionsHashStableAcrossTradeoffs) {
   // The λ = 0 hash. λ rides in FlowKey::variant instead of the options
   // hash, so the hash is stable for every tradeoff — that is what lets the
   // λ-independent MDR artifacts share cache entries across a sweep.
-  EXPECT_EQ(core::hash_flow_options(options), 1857815305692456677ULL);
+  EXPECT_EQ(core::hash_flow_options(options), 17022594571924229214ULL);
   options.timing_tradeoff = 0.5;
-  EXPECT_EQ(core::hash_flow_options(options), 1857815305692456677ULL);
+  EXPECT_EQ(core::hash_flow_options(options), 17022594571924229214ULL);
 }
 
 TEST(TimingDrivenFlow, TradeoffSweepSharesMdrBaseline) {

@@ -2,6 +2,7 @@
 
 #include "arch/rrg.h"
 #include "bitstream/config_model.h"
+#include "common/rng.h"
 #include "route/router.h"
 
 namespace mmflow::bitstream {

@@ -171,7 +171,8 @@ INSTANTIATE_TEST_SUITE_P(ModeCounts, ModeCountSweepTest,
 /// probe it gives up on must be one a Final route fails too, or W_min and
 /// everything sized from it would move. Checked at every width from 4 to
 /// the final width, for each MDR mode and the DCS route of the RegExp first
-/// pair at inner_num 1.
+/// pair at inner_num 1. One case per engine, so each runs as its own ctest
+/// entry (see CMakeLists.txt).
 class ProbeModeSweepTest
     : public ::testing::TestWithParam<core::CombinedCost> {};
 
@@ -206,7 +207,12 @@ TEST_P(ProbeModeSweepTest, RegExpFirstPairFlipsNoProbe) {
 
 INSTANTIATE_TEST_SUITE_P(Engines, ProbeModeSweepTest,
                          ::testing::Values(core::CombinedCost::WireLength,
-                                           core::CombinedCost::EdgeMatch));
+                                           core::CombinedCost::EdgeMatch),
+                         [](const auto& info) {
+                           return info.param == core::CombinedCost::WireLength
+                                      ? "WireLength"
+                                      : "EdgeMatch";
+                         });
 
 }  // namespace
 }  // namespace mmflow::route

@@ -352,9 +352,7 @@ TEST(Tuner, ResumeAfterKillMatchesUninterruptedRunBitIdentically) {
   options.batch.cache_dir = dir.path.string();
   (void)tune::tune(benchmarks, options);
 
-  // The kill: every other whole-experiment entry never got written. The
-  // sub-experiment entries (mdr/probes/routes) stay, as a killed job may
-  // leave them.
+  // The kill: every other whole-experiment entry never got written.
   std::vector<fs::path> entries;
   for (const auto& entry : fs::directory_iterator(dir.path / "experiments")) {
     entries.push_back(entry.path());
@@ -377,8 +375,8 @@ TEST(Tuner, ResumeAfterKillMatchesUninterruptedRunBitIdentically) {
 
   expect_same_trials(reference.trials, resumed.trials);
   expect_same_trials(reference.front, resumed.front);
-  // Surviving experiments loaded; exactly the deleted ones recomputed (on
-  // top of their stored sub-experiment entries) and rewritten.
+  // Surviving experiments loaded; exactly the deleted ones recomputed and
+  // rewritten.
   EXPECT_GT(hits, 0u);
   EXPECT_EQ(perf::counter_value("flowcache.disk_writes") - writes_before,
             deleted);
