@@ -21,7 +21,6 @@
 /// running with a garbage configuration. A well-formed value the library
 /// rejects (e.g. MMFLOW_JOBS=-2) exits the same way (`knob_or_exit`).
 
-#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -243,18 +242,12 @@ inline std::vector<ExperimentRecord> run_engines(
 }
 
 inline void print_header(const char* title, const BenchConfig& config) {
-  // Shortest round-trip form: the header shows the inner_num the flows run
-  // at (1.5 stays 1.5, 5 prints as 5).
-  char inner_num[32];
-  const char* const inner_end =
-      std::to_chars(inner_num, inner_num + sizeof(inner_num), config.inner_num)
-          .ptr;
   std::printf("=== %s ===\n", title);
-  std::printf("(pairs per suite: %d%s, anneal inner_num: %.*s, seed: %llu)\n\n",
-              config.pairs == 0 ? 10 : config.pairs,
-              config.pairs == 0 ? " [full paper experiment]" : "",
-              static_cast<int>(inner_end - inner_num), inner_num,
-              static_cast<unsigned long long>(config.seed));
+  std::printf(
+      "(pairs per suite: %d%s, anneal inner_num: %.17g, seed: %llu)\n\n",
+      config.pairs == 0 ? 10 : config.pairs,
+      config.pairs == 0 ? " [full paper experiment]" : "", config.inner_num,
+      static_cast<unsigned long long>(config.seed));
 }
 
 /// "avg [min, max]" formatting used throughout (paper uses error bars).

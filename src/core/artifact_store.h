@@ -6,8 +6,9 @@
 /// second process — or a sharded batch on another machine sharing the
 /// directory — replays a first process's finished jobs as cache hits with
 /// bit-identical QoR. The sub-experiment artifacts (MDR bundle, width
-/// probes, final MDR routes) are cached in memory only: no run reads them
-/// back from disk, so the store holds exactly one entry per finished job.
+/// probes, final MDR routes) are cached in memory only, so the store holds
+/// exactly one entry per finished job; a later process that runs the other
+/// engine or λ of a stored circuit recomputes them (docs/CACHING.md).
 ///
 /// ## Store layout and entry format (docs/CACHING.md has the full spec)
 ///

@@ -42,8 +42,8 @@
 /// through to content-addressed on-disk entries and writes freshly computed
 /// experiments behind, so a warm second process reproduces a cold first
 /// process's QoR bit-identically while skipping the finished jobs. The
-/// three sub-experiment granularities stay in memory: no run reads them
-/// back from disk.
+/// three sub-experiment granularities stay in memory: a later process that
+/// runs the other engine or λ of a stored circuit recomputes them.
 ///
 /// **Determinism contract**: every cached value is the output of a
 /// deterministic function of its key, so a cache hit returns exactly the
